@@ -11,13 +11,14 @@
  *     should learn to say "don't predict").
  *
  * This demonstrates assembling custom VLISA programs against the
- * public API and swapping prediction units behind the same pipeline.
+ * public API and swapping prediction units behind the same pipeline:
+ * any predictor enters as a PredictorInfo, a configured LVP unit via
+ * core::lvpPredictor() and the zoo via core::findPredictor().
  */
 
 #include <cstdio>
 
 #include "core/lvp_unit.hh"
-#include "core/stride_unit.hh"
 #include "isa/assembler.hh"
 #include "sim/pipeline_driver.hh"
 #include "vm/interpreter.hh"
@@ -94,9 +95,10 @@ main()
                 (unsigned long long)func.stats.loads());
 
     report("history-based (LVP)",
-           sim::runLvpOnly(prog, core::LvpConfig::simple()));
+           sim::runPredictorOnly(
+               prog, core::lvpPredictor(core::LvpConfig::simple())));
     report("stride-detecting",
-           sim::runStrideOnly(prog, core::StrideConfig::simple()));
+           sim::runPredictorOnly(prog, *core::findPredictor("stride")));
 
     std::printf("\nExpected: both predict the constant; only the "
                 "stride unit follows the array walk;\nneither "

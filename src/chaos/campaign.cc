@@ -27,12 +27,6 @@ namespace fs = std::filesystem;
 using workloads::CodeGen;
 using workloads::Workload;
 
-class NullSink : public trace::TraceSink
-{
-  public:
-    void consume(const trace::TraceRecord &) override {}
-};
-
 /** Everything an architectural-equivalence check compares. */
 struct ArchSnapshot
 {
@@ -50,7 +44,7 @@ runAnnotated(const isa::Program &prog, const core::LvpConfig &cfg,
              std::uint64_t maxInstructions)
 {
     vm::Interpreter interp(prog);
-    NullSink null;
+    trace::NullSink null;
     core::LvpAnnotator annot(cfg, null);
     interp.run(&annot, maxInstructions);
     ArchSnapshot s;
@@ -106,6 +100,9 @@ runChaosCampaign(const CampaignOptions &opts, std::ostream &out)
         n = static_cast<unsigned>(all.size());
     const core::LvpConfig cfg = core::LvpConfig::simple();
     const sim::RunConfig rc{opts.maxInstructions};
+    // The run-cache path under test: one predictor-only LVP variant.
+    const std::vector<sim::SweepVariant> lvpOnly = {
+        {core::lvpPredictor(cfg), {}}};
 
     out << "== lvpchaos campaign ==\n"
         << "seed " << opts.seed << "  scale " << opts.scale
@@ -186,15 +183,17 @@ runChaosCampaign(const CampaignOptions &opts, std::ostream &out)
     // detected, discarded, and replaced by an in-memory run whose
     // stats match the reference exactly.
     for (unsigned i = 0; i < n; ++i)
-        cache.lvpOnly(all[i], CodeGen::Ppc, opts.scale, cfg, rc);
+        cache.sweep(all[i], CodeGen::Ppc, opts.scale, lvpOnly, rc);
     cache.clear(); // forget the memos, keep the trace files
     {
         std::uint64_t before = ce.injected(Point::TraceReadFlip);
         std::uint64_t recovered0 = ce.recoveredTotal();
         ce.arm({opts.seed, pointBit(Point::TraceReadFlip), 512});
         for (unsigned i = 0; i < n; ++i) {
-            core::LvpStats got = cache.lvpOnly(all[i], CodeGen::Ppc,
-                                               opts.scale, cfg, rc);
+            core::LvpStats got =
+                cache.sweep(all[i], CodeGen::Ppc, opts.scale, lvpOnly, rc)
+                    .front()
+                    .lvp;
             bool ok = lvpStatsEqual(got, refs[i].lvp);
             if (!ok)
                 ++violations;
@@ -224,8 +223,10 @@ runChaosCampaign(const CampaignOptions &opts, std::ostream &out)
                     pointBit(Point::CacheRename),
                 2});
         for (unsigned i = 0; i < n; ++i) {
-            core::LvpStats got = cache.lvpOnly(all[i], CodeGen::Ppc,
-                                               opts.scale, cfg, rc);
+            core::LvpStats got =
+                cache.sweep(all[i], CodeGen::Ppc, opts.scale, lvpOnly, rc)
+                    .front()
+                    .lvp;
             bool ok = lvpStatsEqual(got, refs[i].lvp);
             if (!ok)
                 ++violations;
@@ -283,7 +284,7 @@ runChaosCampaign(const CampaignOptions &opts, std::ostream &out)
         bool caught = false;
         try {
             vm::Interpreter interp(*progs[0]);
-            NullSink null;
+            trace::NullSink null;
             sim::WatchdogSink wd(&null, /*wallLimitMs=*/0,
                                  /*recordBudget=*/1000);
             interp.run(&wd, opts.maxInstructions);

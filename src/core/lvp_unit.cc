@@ -1,5 +1,7 @@
 #include "core/lvp_unit.hh"
 
+#include <sstream>
+
 #include "chaos/chaos.hh"
 #include "isa/program.hh"
 #include "util/logging.hh"
@@ -121,7 +123,11 @@ LvpUnit::onLoad(Addr pc, Addr addr, Word value, unsigned size)
     }
 
     PredState state = PredState::None;
-    if (cls == LoadClass::Constant && cvu_.enabled() &&
+    // The CVU vouches for the LVPT entry's value, so it is probed
+    // only when the LVPT hit: with a tagged LVPT, a tag miss leaves no
+    // value to vouch for, and a CVU entry at this index was verified
+    // under the entry's previous owner.
+    if (cls == LoadClass::Constant && cvu_.enabled() && pred.valid &&
         cvu_.lookup(addr, idx)) {
         // CVU hit: the LVPT value is guaranteed coherent with memory,
         // so the load bypasses the memory hierarchy entirely.
@@ -290,36 +296,19 @@ LvpUnit::restoreState(const std::any &s)
     restore(*snap);
 }
 
-void
-LvpAnnotator::annotate(trace::TraceRecord &out)
+PredictorInfo
+lvpPredictor(const LvpConfig &c)
 {
-    const auto &inst = *out.inst;
-    if (inst.load()) {
-        out.pred = unit_.onLoad(out.pc, out.effAddr, out.value,
-                                inst.accessSize());
-    } else if (inst.store()) {
-        unit_.onStore(out.effAddr, inst.accessSize());
-    } else if (inst.branch()) {
-        unit_.onBranch(out.taken);
-    }
-}
-
-void
-LvpAnnotator::consume(const trace::TraceRecord &rec)
-{
-    trace::TraceRecord out = rec;
-    annotate(out);
-    downstream_.consume(out);
-}
-
-void
-LvpAnnotator::consumeBatch(std::span<const trace::TraceRecord> recs)
-{
-    batch_.assign(recs.begin(), recs.end());
-    for (trace::TraceRecord &out : batch_)
-        annotate(out);
-    downstream_.consumeBatch(std::span<const trace::TraceRecord>(
-        batch_.data(), batch_.size()));
+    std::ostringstream os;
+    os << "lvp:" << c.name;
+    for (auto v : {c.lvptEntries, c.historyDepth, c.lctEntries,
+                   c.lctBits, c.cvuEntries, c.cvuWays, c.bhrBits})
+        os << '|' << v;
+    os << '|' << c.perfectPrediction << '|' << c.taggedLvpt;
+    std::string name = os.str();
+    return {name, name, [c]() -> std::unique_ptr<ValuePredictor> {
+                return std::make_unique<LvpUnit>(c);
+            }};
 }
 
 } // namespace lvplib::core

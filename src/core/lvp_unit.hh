@@ -4,13 +4,15 @@
  * Section 3.4, plus the statistics behind Tables 3 and 4. Also the
  * LvpAnnotator trace-pipeline stage, which annotates every dynamic
  * load with its PredState — the paper's phase-2 simulator, which
- * passes only two bits of state per load into the timing models.
+ * passes only two bits of state per load into the timing models —
+ * and lvpPredictor(), which names a configured unit for sweeps.
  */
 
 #ifndef LVPLIB_CORE_LVP_UNIT_HH
 #define LVPLIB_CORE_LVP_UNIT_HH
 
 #include <cstdint>
+#include <memory>
 
 #include "core/config.hh"
 #include "core/cvu.hh"
@@ -162,30 +164,31 @@ class LvpUnit : public ValuePredictor
 };
 
 /**
- * Trace-pipeline stage: runs an LvpUnit over the stream, stamps each
- * load's PredState into the record, and forwards everything
- * downstream.
+ * An LvpConfig as a sweepable predictor. The name is a fingerprint of
+ * every field, so two configurations share a name exactly when they
+ * build identical units: ablation variants that tweak one knob of a
+ * preset never alias the preset.
  */
-class LvpAnnotator : public trace::TraceSink
+PredictorInfo lvpPredictor(const LvpConfig &config);
+
+/**
+ * PredictorAnnotator over a paper LVP unit, with typed access to the
+ * unit (its component tables and config) for callers that build the
+ * stage by hand.
+ */
+class LvpAnnotator : public PredictorAnnotator
 {
   public:
     LvpAnnotator(const LvpConfig &config, trace::TraceSink &downstream)
-        : unit_(config), downstream_(downstream)
+        : PredictorAnnotator(std::make_unique<LvpUnit>(config),
+                             downstream)
     {}
 
-    void consume(const trace::TraceRecord &rec) override;
-    void consumeBatch(std::span<const trace::TraceRecord> recs) override;
-    void finish() override { downstream_.finish(); }
-
-    const LvpUnit &unit() const { return unit_; }
-
-  private:
-    /** Run the LVP unit over @p out, stamping its pred in place. */
-    void annotate(trace::TraceRecord &out);
-
-    LvpUnit unit_;
-    trace::TraceSink &downstream_;
-    std::vector<trace::TraceRecord> batch_; ///< annotated copies
+    const LvpUnit &
+    unit() const
+    {
+        return static_cast<const LvpUnit &>(PredictorAnnotator::unit());
+    }
 };
 
 } // namespace lvplib::core

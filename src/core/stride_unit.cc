@@ -201,18 +201,4 @@ StrideLvpUnit::restore(const Snapshot &s)
     cvu_ = s.cvu;
 }
 
-void
-StrideAnnotator::consume(const trace::TraceRecord &rec)
-{
-    trace::TraceRecord out = rec;
-    const auto &inst = *rec.inst;
-    if (inst.load()) {
-        out.pred = unit_.onLoad(rec.pc, rec.effAddr, rec.value,
-                                inst.accessSize());
-    } else if (inst.store()) {
-        unit_.onStore(rec.effAddr, inst.accessSize());
-    }
-    downstream_.consume(out);
-}
-
 } // namespace lvplib::core

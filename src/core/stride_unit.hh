@@ -111,27 +111,6 @@ class StrideLvpUnit : public ValuePredictor
     LvpStats stats_;
 };
 
-/**
- * Annotator stage for the stride unit, mirroring LvpAnnotator.
- */
-class StrideAnnotator : public trace::TraceSink
-{
-  public:
-    StrideAnnotator(const StrideConfig &config,
-                    trace::TraceSink &downstream)
-        : unit_(config), downstream_(downstream)
-    {}
-
-    void consume(const trace::TraceRecord &rec) override;
-    void finish() override { downstream_.finish(); }
-
-    const StrideLvpUnit &unit() const { return unit_; }
-
-  private:
-    StrideLvpUnit unit_;
-    trace::TraceSink &downstream_;
-};
-
 } // namespace lvplib::core
 
 #endif // LVPLIB_CORE_STRIDE_UNIT_HH

@@ -107,17 +107,18 @@ const std::vector<PredictorInfo> &predictorRegistry();
 const PredictorInfo *findPredictor(std::string_view name);
 
 /**
- * Trace-pipeline stage driving any registered predictor, mirroring
- * LvpAnnotator: stamps each load's PredState into the record and
- * forwards everything downstream. Branch records reach onBranch() so
- * history-indexed units see exactly what their typed annotators see.
+ * The trace-pipeline stage driving any value predictor: stamps each
+ * load's PredState into the record and forwards everything
+ * downstream. Stores reach onStore() and branch records onBranch(),
+ * so every unit sees the same protocol whether it runs alone, in
+ * front of a timing model, or in a sharded replay.
  */
 class PredictorAnnotator : public trace::TraceSink
 {
   public:
     PredictorAnnotator(const PredictorInfo &info,
                        trace::TraceSink &downstream)
-        : unit_(info.make()), downstream_(downstream)
+        : PredictorAnnotator(info.make(), downstream)
     {}
 
     void consume(const trace::TraceRecord &rec) override;
@@ -125,6 +126,14 @@ class PredictorAnnotator : public trace::TraceSink
     void finish() override { downstream_.finish(); }
 
     const ValuePredictor &unit() const { return *unit_; }
+
+  protected:
+    /** Drive an already-built @p unit (typed views such as
+     *  LvpAnnotator construct their own). */
+    PredictorAnnotator(std::unique_ptr<ValuePredictor> unit,
+                       trace::TraceSink &downstream)
+        : unit_(std::move(unit)), downstream_(downstream)
+    {}
 
   private:
     /** Run the unit over @p out, stamping its pred in place. */

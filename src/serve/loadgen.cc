@@ -81,7 +81,7 @@ expectedStats(sim::RunCache &cache, const workloads::Workload &w,
               workloads::CodeGen cg, unsigned scale,
               const sim::RunConfig &rc, const core::PredictorInfo &info)
 {
-    return cache.predictorOnly(w, cg, scale, info, rc);
+    return cache.sweep(w, cg, scale, {{info, {}}}, rc).front().lvp;
 }
 
 } // namespace lvplib::serve

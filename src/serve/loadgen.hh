@@ -9,8 +9,8 @@
  * (interpreting a workload, encoding its stream) are produced once per
  * process in a StreamLibrary and shared read-only by every user
  * thread; each user's connection, sessions, and verification state are
- * its own. The byte-identity oracle is RunCache::predictorOnly — the
- * exact memoized path lvpbench uses — so "the server agrees with
+ * its own. The byte-identity oracle is a predictor-only RunCache::sweep
+ * — the exact memoized path lvpbench uses — so "the server agrees with
  * lvpload" means "the server agrees with the paper pipeline".
  */
 
@@ -90,8 +90,8 @@ class StreamLibrary
 
 /**
  * The offline answer a served session must reproduce exactly:
- * RunCache::predictorOnly for the same (workload, codegen, scale,
- * run-config, predictor).
+ * a predictor-only RunCache::sweep for the same (workload, codegen,
+ * scale, run-config, predictor).
  */
 core::LvpStats expectedStats(sim::RunCache &cache,
                              const workloads::Workload &w,

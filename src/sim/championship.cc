@@ -94,11 +94,13 @@ championship(const ExperimentOptions &opts)
 
     // One fan-out sweep per workload: every still-uncached contender
     // is served by a single replay of the shared phase-1 trace.
+    std::vector<SweepVariant> variants;
+    for (const auto *info : preds)
+        variants.push_back({*info, {}});
     auto rows = experimentPool().map(
         suite, [&](const Workload &w) {
-            return cache().predictorOnlyMany(w, CodeGen::Ppc,
-                                             opts.scale, preds,
-                                             runCfg(opts));
+            return cache().sweep(w, CodeGen::Ppc, opts.scale, variants,
+                                 runCfg(opts));
         });
 
     auto good = [](const core::LvpStats &s) {
@@ -119,7 +121,7 @@ championship(const ExperimentOptions &opts)
         st.bits = preds[p]->make()->bitBudget();
         std::vector<double> covers, accurs, goods;
         for (std::size_t i = 0; i < suite.size(); ++i) {
-            const core::LvpStats &s = rows[i][p];
+            const core::LvpStats &s = rows[i][p].lvp;
             covers.push_back(s.predictionRate());
             accurs.push_back(s.accuracy());
             goods.push_back(good(s));

@@ -3,7 +3,7 @@
 #include <cstdlib>
 #include <limits>
 
-#include "core/stride_unit.hh"
+#include "core/lvp_unit.hh"
 #include "core/value_predictor.hh"
 #include "isa/text_asm.hh"
 #include "sim/pipeline_driver.hh"
@@ -433,7 +433,7 @@ runCli(const CliOptions &opts, std::ostream &os)
     std::optional<core::LvpConfig> lvp =
         lvpConfigByName(opts.lvpConfig);
     if (opts.lvpConfig == "stride") {
-        auto st = runStrideOnly(prog, core::StrideConfig::simple());
+        auto st = runPredictorOnly(prog, *core::findPredictor("stride"));
         printLvpStats(os, "stride unit", st);
         // The timing models consume history-based annotations only;
         // a stride run is statistics-only.
@@ -443,7 +443,7 @@ runCli(const CliOptions &opts, std::ostream &os)
         return 0;
     }
     if (lvp) {
-        auto st = runLvpOnly(prog, *lvp);
+        auto st = runPredictorOnly(prog, core::lvpPredictor(*lvp));
         printLvpStats(os, ("LVP " + opts.lvpConfig).c_str(), st);
     }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/config.hh"
+#include "core/lvp_unit.hh"
 #include "isa/latency.hh"
 #include "obs/metrics.hh"
 #include "sim/parallel.hh"
@@ -257,9 +258,10 @@ table3LctHitRates(const ExperimentOptions &opts)
               "Alpha Limit unpred", "Alpha Limit pred"});
     auto stats = experimentPool().map(
         workloadsByCodegen(), [&](const WorkUnit &u) {
-            return cache().lvpOnlyMany(
+            return cache().sweep(
                 *u.w, u.cg, opts.scale,
-                {LvpConfig::simple(), LvpConfig::limit()},
+                {{core::lvpPredictor(LvpConfig::simple()), {}},
+                 {core::lvpPredictor(LvpConfig::limit()), {}}},
                 runCfg(opts));
         });
     static const char *const colNames[8] = {
@@ -272,7 +274,8 @@ table3LctHitRates(const ExperimentOptions &opts)
         std::vector<std::string> row{suite[i].name};
         unsigned c = 0;
         for (std::size_t unit : {2 * i, 2 * i + 1}) {
-            for (const auto &st : stats[unit]) {
+            for (const auto &run : stats[unit]) {
+                const core::LvpStats &st = run.lvp;
                 row.push_back(pc1(st.unpredHitRate()));
                 row.push_back(pc1(st.predHitRate()));
                 pub({"table3", suite[i].name, colNames[c]},
@@ -302,9 +305,10 @@ table4ConstantRates(const ExperimentOptions &opts)
               "Alpha Constant"});
     auto stats = experimentPool().map(
         workloadsByCodegen(), [&](const WorkUnit &u) {
-            return cache().lvpOnlyMany(
+            return cache().sweep(
                 *u.w, u.cg, opts.scale,
-                {LvpConfig::simple(), LvpConfig::constant()},
+                {{core::lvpPredictor(LvpConfig::simple()), {}},
+                 {core::lvpPredictor(LvpConfig::constant()), {}}},
                 runCfg(opts));
         });
     static const char *const colNames[4] = {
@@ -315,11 +319,11 @@ table4ConstantRates(const ExperimentOptions &opts)
         std::vector<std::string> row{suite[i].name};
         unsigned c = 0;
         for (std::size_t unit : {2 * i, 2 * i + 1}) {
-            for (const auto &st : stats[unit]) {
-                row.push_back(pc1(st.constantRate()));
+            for (const auto &run : stats[unit]) {
+                row.push_back(pc1(run.lvp.constantRate()));
                 pub({"table4", suite[i].name, colNames[c]},
-                    st.constantRate());
-                cols[c++].push_back(st.constantRate());
+                    run.lvp.constantRate());
+                cols[c++].push_back(run.lvp.constantRate());
             }
         }
         t.row(std::move(row));
@@ -402,20 +406,20 @@ fig6AlphaSpeedups(const ExperimentOptions &opts)
     t.header({"Benchmark", "Base IPC", "Simple", "Limit", "Perfect"});
     const std::vector<LvpConfig> cfgs = {
         LvpConfig::simple(), LvpConfig::limit(), LvpConfig::perfect()};
-    std::vector<RunCache::AlphaVariant> variants;
-    variants.push_back({AlphaConfig::base21164(), std::nullopt});
+    std::vector<SweepVariant> variants;
+    variants.push_back({std::nullopt, AlphaConfig::base21164()});
     for (const auto &cfg : cfgs)
-        variants.push_back({AlphaConfig::base21164(), cfg});
+        variants.push_back(
+            {core::lvpPredictor(cfg), AlphaConfig::base21164()});
     auto rows = experimentPool().map(
         allWorkloads(), [&](const Workload &w) {
-            auto runs = cache().alpha21164Many(w, CodeGen::Alpha,
-                                               opts.scale, variants,
-                                               runCfg(opts));
+            auto runs = cache().sweep(w, CodeGen::Alpha, opts.scale,
+                                      variants, runCfg(opts));
             SpeedupRow r;
-            r.baseIpc = runs[0].timing.ipc();
+            r.baseIpc = runs[0].alpha().ipc();
             for (std::size_t c = 0; c < cfgs.size(); ++c)
-                r.speedups.push_back(runs[c + 1].timing.ipc() /
-                                     runs[0].timing.ipc());
+                r.speedups.push_back(runs[c + 1].alpha().ipc() /
+                                     runs[0].alpha().ipc());
             return r;
         });
     std::vector<std::vector<double>> speedups(cfgs.size());
@@ -450,19 +454,19 @@ fig6PpcSpeedups(const ExperimentOptions &opts)
     const std::vector<LvpConfig> cfgs = {
         LvpConfig::simple(), LvpConfig::constant(), LvpConfig::limit(),
         LvpConfig::perfect()};
-    std::vector<RunCache::PpcVariant> variants;
-    variants.push_back({Ppc620Config::base620(), std::nullopt});
+    std::vector<SweepVariant> variants;
+    variants.push_back({std::nullopt, Ppc620Config::base620()});
     for (const auto &cfg : cfgs)
-        variants.push_back({Ppc620Config::base620(), cfg});
+        variants.push_back({core::lvpPredictor(cfg), Ppc620Config::base620()});
     auto rows = experimentPool().map(
         allWorkloads(), [&](const Workload &w) {
-            auto runs = cache().ppc620Many(w, CodeGen::Ppc, opts.scale,
-                                           variants, runCfg(opts));
+            auto runs = cache().sweep(w, CodeGen::Ppc, opts.scale,
+                                      variants, runCfg(opts));
             SpeedupRow r;
-            r.baseIpc = runs[0].timing.ipc();
+            r.baseIpc = runs[0].ppc().ipc();
             for (std::size_t c = 0; c < cfgs.size(); ++c)
-                r.speedups.push_back(runs[c + 1].timing.ipc() /
-                                     runs[0].timing.ipc());
+                r.speedups.push_back(runs[c + 1].ppc().ipc() /
+                                     runs[0].ppc().ipc());
             return r;
         });
     std::vector<std::vector<double>> speedups(cfgs.size());
@@ -497,26 +501,25 @@ table6Plus620Speedups(const ExperimentOptions &opts)
     const std::vector<LvpConfig> cfgs = {
         LvpConfig::simple(), LvpConfig::constant(), LvpConfig::limit(),
         LvpConfig::perfect()};
-    std::vector<RunCache::PpcVariant> variants;
-    variants.push_back({Ppc620Config::base620(), std::nullopt});
-    variants.push_back({Ppc620Config::plus620(), std::nullopt});
+    std::vector<SweepVariant> variants;
+    variants.push_back({std::nullopt, Ppc620Config::base620()});
+    variants.push_back({std::nullopt, Ppc620Config::plus620()});
     for (const auto &cfg : cfgs)
-        variants.push_back({Ppc620Config::plus620(), cfg});
+        variants.push_back({core::lvpPredictor(cfg), Ppc620Config::plus620()});
     auto rows = experimentPool().map(
         allWorkloads(), [&](const Workload &w) {
-            auto runs = cache().ppc620Many(w, CodeGen::Ppc, opts.scale,
-                                           variants, runCfg(opts));
-            const auto &base620 = runs[0];
-            const auto &base_plus = runs[1];
+            auto runs = cache().sweep(w, CodeGen::Ppc, opts.scale,
+                                      variants, runCfg(opts));
+            const auto &base620 = runs[0].ppc();
+            const auto &base_plus = runs[1].ppc();
             SpeedupRow r;
-            r.instructions = base620.timing.instructions;
-            r.plusRatio =
-                base_plus.timing.ipc() / base620.timing.ipc();
+            r.instructions = base620.instructions;
+            r.plusRatio = base_plus.ipc() / base620.ipc();
             // Paper Table 6: additional speedup relative to the
             // baseline 620+ with no LVP.
             for (std::size_t c = 0; c < cfgs.size(); ++c)
-                r.speedups.push_back(runs[c + 2].timing.ipc() /
-                                     base_plus.timing.ipc());
+                r.speedups.push_back(runs[c + 2].ppc().ipc() /
+                                     base_plus.ipc());
             return r;
         });
     std::vector<double> plus_col;
@@ -556,17 +559,17 @@ namespace
  *  figure-7 machine/LVP configuration, fetching each workload's whole
  *  variant sweep from one single-pass replay. */
 std::vector<Histogram>
-verifyHistograms(const std::vector<RunCache::PpcVariant> &variants,
+verifyHistograms(const std::vector<SweepVariant> &variants,
                  const ExperimentOptions &opts)
 {
     auto rows = experimentPool().map(
         allWorkloads(), [&](const Workload &w) {
-            auto runs = cache().ppc620Many(w, CodeGen::Ppc, opts.scale,
-                                           variants, runCfg(opts));
+            auto runs = cache().sweep(w, CodeGen::Ppc, opts.scale,
+                                      variants, runCfg(opts));
             std::vector<Histogram> hs;
             hs.reserve(runs.size());
             for (const auto &r : runs)
-                hs.push_back(r.timing.verifyLatency);
+                hs.push_back(r.ppc().verifyLatency);
             return hs;
         });
     // Merge each variant in suite order, exactly as the previous
@@ -585,22 +588,24 @@ fig7VerificationLatency(const ExperimentOptions &opts)
 {
     TextTable t;
     t.header({"Machine/Config", "<4", "4", "5", "6", "7", ">7"});
-    std::vector<RunCache::PpcVariant> variants;
+    std::vector<std::pair<std::string, std::string>> names;
+    std::vector<SweepVariant> variants;
     for (const auto &mc :
          {Ppc620Config::base620(), Ppc620Config::plus620()})
-        for (const auto &cfg : LvpConfig::paperConfigs())
-            variants.push_back({mc, cfg});
+        for (const auto &cfg : LvpConfig::paperConfigs()) {
+            names.emplace_back(mc.name, cfg.name);
+            variants.push_back({core::lvpPredictor(cfg), mc});
+        }
     auto hists = verifyHistograms(variants, opts);
     for (std::size_t v = 0; v < variants.size(); ++v) {
-        const auto &mc = variants[v].mc;
-        const auto &cfg = *variants[v].lvp;
+        const auto &[machine, config] = names[v];
         const Histogram &h = hists[v];
         double lt4 = h.bucketPct(0) + h.bucketPct(1) + h.bucketPct(2) +
                      h.bucketPct(3);
-        t.row({mc.name + "/" + cfg.name, pc1(lt4), pc1(h.bucketPct(4)),
+        t.row({machine + "/" + config, pc1(lt4), pc1(h.bucketPct(4)),
                pc1(h.bucketPct(5)), pc1(h.bucketPct(6)),
                pc1(h.bucketPct(7)), pc1(h.overflowPct())});
-        const std::string rowKey = mc.name + "_" + cfg.name;
+        const std::string rowKey = machine + "_" + config;
         pub({"fig7", rowKey, "lt4"}, lt4);
         pub({"fig7", rowKey, "c4"}, h.bucketPct(4));
         pub({"fig7", rowKey, "c5"}, h.bucketPct(5));
@@ -633,23 +638,22 @@ fig8DependencyResolution(const ExperimentOptions &opts)
     for (const auto &mc :
          {Ppc620Config::base620(), Ppc620Config::plus620()}) {
         auto cfgs = LvpConfig::paperConfigs();
-        std::vector<RunCache::PpcVariant> variants;
-        variants.push_back({mc, std::nullopt});
+        std::vector<SweepVariant> variants;
+        variants.push_back({std::nullopt, mc});
         for (const auto &cfg : cfgs)
-            variants.push_back({mc, cfg});
+            variants.push_back({core::lvpPredictor(cfg), mc});
         auto rows = experimentPool().map(
             allWorkloads(), [&](const Workload &w) {
-                auto runs = cache().ppc620Many(w, CodeGen::Ppc,
-                                               opts.scale, variants,
-                                               runCfg(opts));
+                auto runs = cache().sweep(w, CodeGen::Ppc, opts.scale,
+                                          variants, runCfg(opts));
                 WaitRow r;
                 for (FuType f : fus)
                     r.base[static_cast<std::size_t>(f)] =
-                        runs[0].timing.rsWaitMean(f);
+                        runs[0].ppc().rsWaitMean(f);
                 for (std::size_t c = 0; c < cfgs.size(); ++c)
                     for (FuType f : fus)
                         r.cfg[c][static_cast<std::size_t>(f)] =
-                            runs[c + 1].timing.rsWaitMean(f);
+                            runs[c + 1].ppc().rsWaitMean(f);
                 return r;
             });
         // Accumulate in suite order so floating-point sums match the
@@ -693,21 +697,21 @@ fig9BankConflicts(const ExperimentOptions &opts)
     TextTable t;
     t.header({"Benchmark", "620 NoLVP", "620 Simple", "620 Constant",
               "620+ NoLVP", "620+ Simple", "620+ Constant"});
-    std::vector<RunCache::PpcVariant> variants;
+    std::vector<SweepVariant> variants;
     for (const auto &mc :
          {Ppc620Config::base620(), Ppc620Config::plus620()}) {
-        variants.push_back({mc, std::nullopt});
+        variants.push_back({std::nullopt, mc});
         for (const auto &cfg :
              {LvpConfig::simple(), LvpConfig::constant()})
-            variants.push_back({mc, cfg});
+            variants.push_back({core::lvpPredictor(cfg), mc});
     }
     auto rows = experimentPool().map(
         allWorkloads(), [&](const Workload &w) {
-            auto runs = cache().ppc620Many(w, CodeGen::Ppc, opts.scale,
-                                           variants, runCfg(opts));
+            auto runs = cache().sweep(w, CodeGen::Ppc, opts.scale,
+                                      variants, runCfg(opts));
             std::array<double, 6> pcts{};
             for (unsigned c = 0; c < 6; ++c)
-                pcts[c] = runs[c].timing.bankConflictPct();
+                pcts[c] = runs[c].ppc().bankConflictPct();
             return pcts;
         });
     static const char *const colNames[6] = {

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/config.hh"
+#include "core/lvp_unit.hh"
 #include "core/value_profiler.hh"
 #include "obs/metrics.hh"
 #include "sim/parallel.hh"
@@ -56,14 +57,17 @@ std::vector<double>
 meanOverSuite(const std::vector<core::LvpConfig> &cfgs,
               const ExperimentOptions &opts, StatFn stat)
 {
+    std::vector<SweepVariant> variants;
+    for (const auto &cfg : cfgs)
+        variants.push_back({core::lvpPredictor(cfg), {}});
     auto rows = experimentPool().map(
         allWorkloads(), [&](const Workload &w) {
-            auto sts = cache().lvpOnlyMany(w, CodeGen::Ppc, opts.scale,
-                                           cfgs, runCfg(opts));
+            auto runs = cache().sweep(w, CodeGen::Ppc, opts.scale,
+                                      variants, runCfg(opts));
             std::vector<double> xs;
-            xs.reserve(sts.size());
-            for (const auto &st : sts)
-                xs.push_back(stat(st));
+            xs.reserve(runs.size());
+            for (const auto &r : runs)
+                xs.push_back(stat(r.lvp));
             return xs;
         });
     std::vector<double> out;
@@ -111,17 +115,17 @@ ablationPredictors(const ExperimentOptions &opts)
     {
         core::LvpStats lvp, stride, fcm;
     };
+    // The registry's stride and fcm entries are the Simple-budget
+    // StrideConfig::simple() and FcmConfig::simple() units.
+    const std::vector<SweepVariant> variants = {
+        {core::lvpPredictor(LvpConfig::simple()), {}},
+        {*core::findPredictor("stride"), {}},
+        {*core::findPredictor("fcm"), {}}};
     auto rows = experimentPool().map(
         allWorkloads(), [&](const Workload &w) {
-            PredRow r;
-            r.lvp = cache().lvpOnly(w, CodeGen::Ppc, opts.scale,
-                                    LvpConfig::simple(), runCfg(opts));
-            auto prog = cache().program(w, CodeGen::Ppc, opts.scale);
-            r.stride = runStrideOnly(*prog, core::StrideConfig::simple(),
-                                     runCfg(opts));
-            r.fcm = runFcmOnly(*prog, core::FcmConfig::simple(),
-                               runCfg(opts));
-            return r;
+            auto runs = cache().sweep(w, CodeGen::Ppc, opts.scale,
+                                      variants, runCfg(opts));
+            return PredRow{runs[0].lvp, runs[1].lvp, runs[2].lvp};
         });
     auto good = [](const core::LvpStats &s) {
         return pct(s.correct + s.constants, s.loads);
@@ -306,14 +310,14 @@ ablationLvpDesign(const ExperimentOptions &opts)
         for (bool squash : {false, true}) {
             auto mc = Ppc620Config::base620();
             mc.squashOnValueMispredict = squash;
-            const std::vector<RunCache::PpcVariant> variants = {
-                {mc, std::nullopt}, {mc, LvpConfig::simple()}};
+            const std::vector<SweepVariant> variants = {
+                {std::nullopt, mc},
+                {core::lvpPredictor(LvpConfig::simple()), mc}};
             auto speedups = experimentPool().map(
                 allWorkloads(), [&](const Workload &w) {
-                    auto runs = cache().ppc620Many(w, CodeGen::Ppc,
-                                                   opts.scale, variants,
-                                                   runCfg(opts));
-                    return runs[1].timing.ipc() / runs[0].timing.ipc();
+                    auto runs = cache().sweep(w, CodeGen::Ppc, opts.scale,
+                                              variants, runCfg(opts));
+                    return runs[1].ppc().ipc() / runs[0].ppc().ipc();
                 });
             t.row({squash ? "squash + refetch" : "selective reissue "
                                                  "(paper)",
@@ -448,43 +452,43 @@ ablationBpred(const ExperimentOptions &opts)
     gshare_cfg.bpred.gshareBits = 8;
     struct BpredRow
     {
-        PpcRun bimodal, gshare, gshare_lvp;
+        uarch::OooStats bimodal, gshare, gshare_lvp;
     };
-    const std::vector<RunCache::PpcVariant> variants = {
-        {bimodal_cfg, std::nullopt},
-        {gshare_cfg, std::nullopt},
-        {gshare_cfg, LvpConfig::simple()}};
+    const std::vector<SweepVariant> variants = {
+        {std::nullopt, bimodal_cfg},
+        {std::nullopt, gshare_cfg},
+        {core::lvpPredictor(LvpConfig::simple()), gshare_cfg}};
     auto rows = experimentPool().map(
         allWorkloads(), [&](const Workload &w) {
-            auto runs = cache().ppc620Many(w, CodeGen::Ppc, opts.scale,
-                                           variants, runCfg(opts));
-            return BpredRow{runs[0], runs[1], runs[2]};
+            auto runs = cache().sweep(w, CodeGen::Ppc, opts.scale,
+                                      variants, runCfg(opts));
+            return BpredRow{runs[0].ppc(), runs[1].ppc(), runs[2].ppc()};
         });
-    auto mr = [](const PpcRun &r) {
-        return pct(r.timing.branchMispredicts, r.timing.instructions);
+    auto mr = [](const uarch::OooStats &r) {
+        return pct(r.branchMispredicts, r.instructions);
     };
     std::vector<double> bi, gs, gl;
     const auto &suite = allWorkloads();
     for (std::size_t i = 0; i < suite.size(); ++i) {
         const auto &r = rows[i];
-        bi.push_back(r.bimodal.timing.ipc());
-        gs.push_back(r.gshare.timing.ipc());
-        gl.push_back(r.gshare_lvp.timing.ipc());
+        bi.push_back(r.bimodal.ipc());
+        gs.push_back(r.gshare.ipc());
+        gl.push_back(r.gshare_lvp.ipc());
         t.row({suite[i].name, TextTable::fmtPct(mr(r.bimodal), 2),
                TextTable::fmtPct(mr(r.gshare), 2),
-               TextTable::fmtDouble(r.bimodal.timing.ipc(), 3),
-               TextTable::fmtDouble(r.gshare.timing.ipc(), 3),
-               TextTable::fmtDouble(r.gshare_lvp.timing.ipc(), 3)});
+               TextTable::fmtDouble(r.bimodal.ipc(), 3),
+               TextTable::fmtDouble(r.gshare.ipc(), 3),
+               TextTable::fmtDouble(r.gshare_lvp.ipc(), 3)});
         pub({"ablation_bpred", suite[i].name, "bimodal_mispred"},
             mr(r.bimodal));
         pub({"ablation_bpred", suite[i].name, "gshare_mispred"},
             mr(r.gshare));
         pub({"ablation_bpred", suite[i].name, "bimodal_ipc"},
-            r.bimodal.timing.ipc());
+            r.bimodal.ipc());
         pub({"ablation_bpred", suite[i].name, "gshare_ipc"},
-            r.gshare.timing.ipc());
+            r.gshare.ipc());
         pub({"ablation_bpred", suite[i].name, "gshare_lvp_ipc"},
-            r.gshare_lvp.timing.ipc());
+            r.gshare_lvp.ipc());
     }
     t.row({"MEAN", "-", "-", TextTable::fmtDouble(mean(bi), 3),
            TextTable::fmtDouble(mean(gs), 3),
@@ -510,45 +514,45 @@ sec61MissRates(const ExperimentOptions &opts)
               "const loads"});
     struct MissRow
     {
-        AlphaRun base, with;
+        uarch::InOrderStats base, with;
     };
-    const std::vector<RunCache::AlphaVariant> variants = {
-        {uarch::AlphaConfig::base21164(), std::nullopt},
-        {uarch::AlphaConfig::base21164(), LvpConfig::constant()}};
+    const std::vector<SweepVariant> variants = {
+        {std::nullopt, uarch::AlphaConfig::base21164()},
+        {core::lvpPredictor(LvpConfig::constant()),
+         uarch::AlphaConfig::base21164()}};
     auto rows = experimentPool().map(
         allWorkloads(), [&](const Workload &w) {
-            auto runs = cache().alpha21164Many(w, CodeGen::Alpha,
-                                               opts.scale, variants,
-                                               runCfg(opts));
-            return MissRow{runs[0], runs[1]};
+            auto runs = cache().sweep(w, CodeGen::Alpha, opts.scale,
+                                      variants, runCfg(opts));
+            return MissRow{runs[0].alpha(), runs[1].alpha()};
         });
     std::vector<double> miss_red, acc_red;
     const auto &suite = allWorkloads();
     for (std::size_t i = 0; i < suite.size(); ++i) {
         const auto &r = rows[i];
-        double mr_base = r.base.timing.missRatePerInst();
-        double mr_with = r.with.timing.missRatePerInst();
+        double mr_base = r.base.missRatePerInst();
+        double mr_with = r.with.missRatePerInst();
         double mred = mr_base > 0
                           ? 100.0 * (mr_base - mr_with) / mr_base
                           : 0.0;
         double ared =
             100.0 *
-            (static_cast<double>(r.base.timing.l1Accesses) -
-             static_cast<double>(r.with.timing.l1Accesses)) /
-            static_cast<double>(r.base.timing.l1Accesses);
+            (static_cast<double>(r.base.l1Accesses) -
+             static_cast<double>(r.with.l1Accesses)) /
+            static_cast<double>(r.base.l1Accesses);
         miss_red.push_back(mred);
         acc_red.push_back(ared);
         t.row({suite[i].name, TextTable::fmtPct(mr_base, 2),
                TextTable::fmtPct(mr_with, 2),
                TextTable::fmtPct(mred), TextTable::fmtPct(ared),
-               std::to_string(r.with.timing.constLoads)});
+               std::to_string(r.with.constLoads)});
         pub({"sec61", suite[i].name, "base_miss_per_instr"}, mr_base);
         pub({"sec61", suite[i].name, "constant_miss_per_instr"},
             mr_with);
         pub({"sec61", suite[i].name, "miss_reduction"}, mred);
         pub({"sec61", suite[i].name, "access_reduction"}, ared);
         pub({"sec61", suite[i].name, "const_loads"},
-            static_cast<double>(r.with.timing.constLoads));
+            static_cast<double>(r.with.constLoads));
     }
     t.row({"MEAN", "-", "-", TextTable::fmtPct(mean(miss_red)),
            TextTable::fmtPct(mean(acc_red)), "-"});

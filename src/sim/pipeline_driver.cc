@@ -145,76 +145,11 @@ profileAllValues(const isa::Program &prog, const RunConfig &rc)
 }
 
 core::LvpStats
-runLvpOnly(const isa::Program &prog, const core::LvpConfig &cfg,
-           const RunConfig &rc)
-{
-    /** A sink that discards annotated records. */
-    class NullSink : public trace::TraceSink
-    {
-      public:
-        void consume(const trace::TraceRecord &) override {}
-    } null_sink;
-
-    vm::Interpreter interp(prog);
-    core::LvpAnnotator annot(cfg, null_sink);
-    runToCompletion(interp, &annot, rc);
-    return annot.unit().stats();
-}
-
-core::LvpStats
-runStrideOnly(const isa::Program &prog, const core::StrideConfig &cfg,
-              const RunConfig &rc)
-{
-    class NullSink : public trace::TraceSink
-    {
-      public:
-        void consume(const trace::TraceRecord &) override {}
-    } null_sink;
-
-    vm::Interpreter interp(prog);
-    core::StrideAnnotator annot(cfg, null_sink);
-    runToCompletion(interp, &annot, rc);
-    return annot.unit().stats();
-}
-
-core::LvpStats
-runFcmOnly(const isa::Program &prog, const core::FcmConfig &cfg,
-           const RunConfig &rc)
-{
-    /** Feed loads/stores straight into the unit; nothing downstream. */
-    class FcmSink : public trace::TraceSink
-    {
-      public:
-        explicit FcmSink(const core::FcmConfig &c) : unit(c) {}
-        void
-        consume(const trace::TraceRecord &rec) override
-        {
-            const auto &inst = *rec.inst;
-            if (inst.load())
-                unit.onLoad(rec.pc, rec.effAddr, rec.value,
-                            inst.accessSize());
-            else if (inst.store())
-                unit.onStore(rec.effAddr, inst.accessSize());
-        }
-        core::FcmUnit unit;
-    } sink(cfg);
-
-    vm::Interpreter interp(prog);
-    runToCompletion(interp, &sink, rc);
-    return sink.unit.stats();
-}
-
-core::LvpStats
 runPredictorOnly(const isa::Program &prog,
                  const core::PredictorInfo &info, const RunConfig &rc)
 {
-    class NullSink : public trace::TraceSink
-    {
-      public:
-        void consume(const trace::TraceRecord &) override {}
-    } null_sink;
-
     vm::Interpreter interp(prog);
+    trace::NullSink null_sink;
     core::PredictorAnnotator annot(info, null_sink);
     runToCompletion(interp, &annot, rc);
     return annot.unit().stats();

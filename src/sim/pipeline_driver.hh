@@ -16,8 +16,6 @@
 #include "core/locality_profiler.hh"
 #include "core/lvp_unit.hh"
 #include "core/value_profiler.hh"
-#include "core/fcm_unit.hh"
-#include "core/stride_unit.hh"
 #include "core/value_predictor.hh"
 #include "isa/program.hh"
 #include "trace/trace_stats.hh"
@@ -65,23 +63,8 @@ core::ValueLocalityProfiler profileLocality(const isa::Program &prog,
 core::AllValueLocalityProfiler
 profileAllValues(const isa::Program &prog, const RunConfig &rc = {});
 
-/** Run the LVP unit alone over a program's trace (Tables 3-4). */
-core::LvpStats runLvpOnly(const isa::Program &prog,
-                          const core::LvpConfig &cfg,
-                          const RunConfig &rc = {});
-
-/** Run the stride prediction unit (future-work extension) alone. */
-core::LvpStats runStrideOnly(const isa::Program &prog,
-                             const core::StrideConfig &cfg,
-                             const RunConfig &rc = {});
-
-/** Run the two-level FCM prediction unit (extension) alone. */
-core::LvpStats runFcmOnly(const isa::Program &prog,
-                          const core::FcmConfig &cfg,
-                          const RunConfig &rc = {});
-
-/** Run any registry predictor alone over a program's trace, through
- *  the type-erased ValuePredictor interface (championship sweep). */
+/** Run one predictor alone over a program's trace, interpreting it
+ *  in memory: the reference RunCache::sweep is checked against. */
 core::LvpStats runPredictorOnly(const isa::Program &prog,
                                 const core::PredictorInfo &info,
                                 const RunConfig &rc = {});

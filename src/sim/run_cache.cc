@@ -8,16 +8,16 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 #include <unistd.h>
 
 #include "chaos/chaos.hh"
-#include "core/lvp_unit.hh"
 #include "obs/metrics.hh"
 #include "obs/timeline.hh"
 #include "sim/parallel.hh"
 #include "sim/resilience.hh"
-#include "sim/sharded_replay.hh"
 #include "trace/trace_file.hh"
 #include "uarch/alpha21164.hh"
 #include "uarch/ppc620.hh"
@@ -64,19 +64,6 @@ runKey(const Workload &w, CodeGen cg, unsigned scale,
 
 /** Full-field fingerprints: ablation variants that tweak any knob of
  *  a preset must never alias the preset's cache entries. */
-std::string
-fp(const core::LvpConfig &c)
-{
-    std::ostringstream os;
-    os << c.name;
-    for (auto v : {c.lvptEntries, c.historyDepth, c.lctEntries,
-                   c.lctBits, c.cvuEntries, c.cvuWays, c.bhrBits})
-        keyPart(os, v);
-    keyPart(os, c.perfectPrediction);
-    keyPart(os, c.taggedLvpt);
-    return os.str();
-}
-
 std::string
 fp(const mem::HierarchyConfig &h)
 {
@@ -126,10 +113,21 @@ fp(const uarch::AlphaConfig &m)
     return os.str();
 }
 
+/** A sweep variant's memo-key suffix: predictor name plus machine
+ *  fingerprint. */
 std::string
-fp(const std::optional<core::LvpConfig> &c)
+variantKey(const SweepVariant &v)
 {
-    return c ? fp(*c) : std::string("nolvp");
+    std::ostringstream os;
+    keyPart(os, v.predictor ? v.predictor->name : "-");
+    if (const auto *mc = std::get_if<uarch::Ppc620Config>(&v.machine))
+        os << "|ppc" << fp(*mc);
+    else if (const auto *ac = std::get_if<uarch::AlphaConfig>(&v.machine))
+        os << "|alpha" << fp(*ac);
+    else if (!v.predictor)
+        throw std::invalid_argument(
+            "sweep variant has neither a predictor nor a machine");
+    return os.str();
 }
 
 } // namespace
@@ -147,11 +145,7 @@ struct RunCache::Impl
              std::shared_future<
                  std::shared_ptr<const core::ValueLocalityProfiler>>>
         localities;
-    std::map<std::string, std::shared_future<core::LvpStats>> lvps;
-    /** Registry-predictor runs, keyed on the predictor name. */
-    std::map<std::string, std::shared_future<core::LvpStats>> preds;
-    std::map<std::string, std::shared_future<PpcRun>> ppcRuns;
-    std::map<std::string, std::shared_future<AlphaRun>> alphaRuns;
+    std::map<std::string, std::shared_future<SweepRun>> runs;
     /** Value: trace-file path ("" when generation was skipped). */
     std::map<std::string, std::shared_future<std::string>> traces;
 
@@ -196,9 +190,9 @@ struct RunCache::Impl
         consecutiveTraceFailures.store(0, std::memory_order_relaxed);
     }
 
-    /** One single-pass fan-out replay served @p sinks variants. */
+    /** One trace replay served @p sinks variants. */
     void
-    noteFanoutReplay(std::size_t sinks)
+    noteReplay(std::size_t sinks)
     {
         traceReplays.fetch_add(1, std::memory_order_relaxed);
         obsTraceReplays.add();
@@ -266,65 +260,28 @@ struct RunCache::Impl
                  const std::string &key,
                  const std::function<V()> &make)
     {
-        std::promise<V> prom;
-        std::shared_future<V> fut;
-        bool owner = false;
-        {
-            std::lock_guard<std::mutex> lock(m);
-            auto it = map.find(key);
-            if (it != map.end()) {
-                fut = it->second;
-            } else {
-                fut = prom.get_future().share();
-                map.emplace(key, fut);
-                owner = true;
-            }
-        }
-        if (owner) {
-            misses.fetch_add(1, std::memory_order_relaxed);
-            obsMisses.add();
-            try {
-                prom.set_value(make());
-            } catch (...) {
-                // Failures are not memoized: drop the future before
-                // publishing the exception so current waiters see it
-                // but a later request recomputes from scratch.
-                {
-                    std::lock_guard<std::mutex> lock(m);
-                    map.erase(key);
-                }
-                prom.set_exception(std::current_exception());
-            }
-        } else {
-            hits.fetch_add(1, std::memory_order_relaxed);
-            obsHits.add();
-        }
-        return fut.get();
+        return fanOutCompute<V>(map, {key}, [&](const auto &) {
+                   return std::vector<V>{make()};
+               }).front();
     }
 
     /**
-     * Fan-out variant of getOrCompute(): resolve @p keys together.
-     * Already-memoized keys are hits; the rest are claimed under one
-     * lock (so concurrent sweeps block on our futures instead of
-     * recomputing) and handed as index lists to @p batch, which
-     * computes them in one shared trace replay, filling vals[k] for
-     * owned[k]. Any owned variant @p batch could not serve (no trace,
-     * replay failed and was reported, or batch threw) is computed by
-     * the per-variant @p fallback. Every claimed promise is settled —
-     * value, or key erased then exception, mirroring getOrCompute's
-     * no-memoized-failures rule — before results are collected, and
-     * the first failing variant's exception (in variant order)
-     * propagates to the caller.
+     * Resolve @p keys together. Already-memoized keys are hits; the
+     * rest are claimed under one lock (so concurrent requesters block
+     * on our futures instead of recomputing) and handed as one index
+     * list to @p compute, which returns their values in that order.
+     * Every claimed promise is settled before results are collected;
+     * if @p compute throws, the claimed keys are erased first, so
+     * failures are never memoized and current waiters see the
+     * exception while a later request recomputes from scratch.
      */
     template <typename V>
     std::vector<V>
     fanOutCompute(
         std::map<std::string, std::shared_future<V>> &map,
         const std::vector<std::string> &keys,
-        const std::function<void(const std::vector<std::size_t> &,
-                                 std::vector<std::optional<V>> &)>
-            &batch,
-        const std::function<V(std::size_t)> &fallback)
+        const std::function<std::vector<V>(
+            const std::vector<std::size_t> &)> &compute)
     {
         std::vector<std::shared_future<V>> futs(keys.size());
         std::vector<std::promise<V>> proms(keys.size());
@@ -352,36 +309,19 @@ struct RunCache::Impl
         if (!owned.empty()) {
             misses.fetch_add(owned.size(), std::memory_order_relaxed);
             obsMisses.add(owned.size());
-            std::vector<std::optional<V>> vals(owned.size());
-            std::vector<std::exception_ptr> errs(owned.size());
             try {
-                batch(owned, vals);
+                std::vector<V> vals = compute(owned);
+                for (std::size_t k = 0; k < owned.size(); ++k)
+                    proms[owned[k]].set_value(std::move(vals[k]));
             } catch (...) {
                 auto e = std::current_exception();
-                for (std::size_t k = 0; k < owned.size(); ++k)
-                    if (!vals[k])
-                        errs[k] = e;
-            }
-            for (std::size_t k = 0; k < owned.size(); ++k) {
-                if (vals[k] || errs[k])
-                    continue;
-                try {
-                    vals[k] = fallback(owned[k]);
-                } catch (...) {
-                    errs[k] = std::current_exception();
-                }
-            }
-            for (std::size_t k = 0; k < owned.size(); ++k) {
-                std::size_t i = owned[k];
-                if (vals[k]) {
-                    proms[i].set_value(std::move(*vals[k]));
-                } else {
-                    {
-                        std::lock_guard<std::mutex> lock(m);
+                {
+                    std::lock_guard<std::mutex> lock(m);
+                    for (std::size_t i : owned)
                         map.erase(keys[i]);
-                    }
-                    proms[i].set_exception(errs[k]);
                 }
+                for (std::size_t i : owned)
+                    proms[i].set_exception(e);
             }
         }
         std::vector<V> out;
@@ -420,19 +360,10 @@ RunCache::program(const Workload &w, CodeGen cg, unsigned scale)
 namespace
 {
 
-/** Discards annotated records (mirrors runLvpOnly's internal sink). */
-class NullSink : public trace::TraceSink
-{
-  public:
-    void consume(const trace::TraceRecord &) override {}
-};
-
 /**
  * Contiguous near-equal partition of [0, n) into at most @p g
- * non-empty [lo, hi) groups, for fanning one sweep's variants out
- * across the shard pool. Contiguity keeps the group→variant mapping
- * order-preserving, so results can be stitched back by walking
- * groups in order.
+ * non-empty [lo, hi) groups, for fanning one sweep's predictors out
+ * across the shard pool.
  */
 std::vector<std::pair<std::size_t, std::size_t>>
 partitionGroups(std::size_t n, std::size_t g)
@@ -473,6 +404,190 @@ uniqueTempName(const std::string &path)
     return os.str();
 }
 
+/**
+ * Interpret @p prog into @p sink under the same watchdog envelope as
+ * the in-memory drivers (replays are bounded by the verified file).
+ * The sink sees finish() exactly once, as it does at the end of a
+ * replay, even when maxInstructions cuts the run short. Returns the
+ * records fed.
+ */
+std::uint64_t
+interpret(const isa::Program &prog, const RunConfig &rc,
+          trace::TraceSink &sink)
+{
+    vm::Interpreter interp(prog);
+    std::uint64_t wallMs =
+        rc.wallLimitMs != 0 ? rc.wallLimitMs : defaultWallLimitMs();
+    if (wallMs != 0 || rc.recordBudget != 0) {
+        WatchdogSink wd(&sink, wallMs, rc.recordBudget);
+        interp.run(&wd, rc.maxInstructions);
+    } else {
+        interp.run(&sink, rc.maxInstructions);
+    }
+    if (!interp.halted())
+        sink.finish();
+    return interp.retired();
+}
+
+/**
+ * The sink tree of one pass over a slice of a sweep's variants. Each
+ * unit is either the variants sharing one predictor — one annotator,
+ * fanning out to their machines (or into a NullSink when none has
+ * one) — or a single baseline machine; the units' heads sit side by
+ * side under the root. Built fresh for every pass: a pass that fails
+ * midway leaves its sinks half-fed.
+ */
+class SweepTree
+{
+  public:
+    SweepTree(const std::vector<const SweepVariant *> &vs,
+              std::span<const std::vector<std::size_t>> units)
+    {
+        std::vector<trace::TraceSink *> heads;
+        for (const auto &unit : units) {
+            std::vector<trace::TraceSink *> machines;
+            for (std::size_t i : unit) {
+                Leaf &leaf = leaves_.emplace_back();
+                leaf.variant = i;
+                const bool lvp = vs[i]->predictor.has_value();
+                if (const auto *mc = std::get_if<uarch::Ppc620Config>(
+                        &vs[i]->machine)) {
+                    leaf.ppc =
+                        std::make_unique<uarch::Ppc620Model>(*mc, lvp);
+                    machines.push_back(leaf.ppc.get());
+                } else if (const auto *ac =
+                               std::get_if<uarch::AlphaConfig>(
+                                   &vs[i]->machine)) {
+                    leaf.alpha = std::make_unique<uarch::Alpha21164Model>(
+                        *ac, lvp);
+                    machines.push_back(leaf.alpha.get());
+                }
+            }
+            const auto &pred = vs[unit.front()]->predictor;
+            if (!pred) {
+                heads.push_back(machines.front());
+                continue;
+            }
+            trace::TraceSink *down = &null_;
+            if (!machines.empty()) {
+                fans_.push_back(
+                    std::make_unique<trace::MultiSink>(machines));
+                down = fans_.back().get();
+            }
+            annots_.push_back(
+                std::make_unique<core::PredictorAnnotator>(*pred, *down));
+            heads.push_back(annots_.back().get());
+            for (std::size_t k = leaves_.size() - unit.size();
+                 k < leaves_.size(); ++k)
+                leaves_[k].annot = annots_.back().get();
+        }
+        root_ = std::make_unique<trace::MultiSink>(std::move(heads));
+    }
+
+    // The annotators hold references into the tree.
+    SweepTree(const SweepTree &) = delete;
+    SweepTree &operator=(const SweepTree &) = delete;
+
+    trace::TraceSink &root() { return *root_; }
+
+    /** Store each variant's run at @p out[its index]. */
+    void
+    collect(std::vector<SweepRun> &out) const
+    {
+        for (const Leaf &leaf : leaves_) {
+            SweepRun &r = out[leaf.variant];
+            if (leaf.annot)
+                r.lvp = leaf.annot->unit().stats();
+            if (leaf.ppc) {
+                r.timing = leaf.ppc->stats();
+                publishModelRun(r.ppc());
+            } else if (leaf.alpha) {
+                r.timing = leaf.alpha->stats();
+                publishModelRun(r.alpha());
+            }
+        }
+    }
+
+  private:
+    struct Leaf
+    {
+        std::size_t variant = 0;
+        const core::PredictorAnnotator *annot = nullptr;
+        std::unique_ptr<uarch::Ppc620Model> ppc;
+        std::unique_ptr<uarch::Alpha21164Model> alpha;
+    };
+
+    trace::NullSink null_;
+    std::vector<Leaf> leaves_;
+    std::vector<std::unique_ptr<trace::MultiSink>> fans_;
+    std::vector<std::unique_ptr<core::PredictorAnnotator>> annots_;
+    std::unique_ptr<trace::MultiSink> root_;
+};
+
+/** Group @p vs into SweepTree units, in first-appearance order: one
+ *  per distinct predictor name, one per baseline machine. */
+std::vector<std::vector<std::size_t>>
+sweepUnits(const std::vector<const SweepVariant *> &vs)
+{
+    std::vector<std::vector<std::size_t>> units;
+    std::map<std::string, std::size_t> unitOf;
+    for (std::size_t i = 0; i < vs.size(); ++i) {
+        if (!vs[i]->predictor) {
+            units.push_back({i});
+            continue;
+        }
+        auto [it, fresh] =
+            unitOf.emplace(vs[i]->predictor->name, units.size());
+        if (fresh)
+            units.emplace_back();
+        units[it->second].push_back(i);
+    }
+    return units;
+}
+
+/**
+ * One sweep pass over the verified trace @p tr, storing each variant's
+ * run at @p out[its index in @p vs]. Counts the records it feeds.
+ * Returns how many variants each trace read served, one entry per
+ * read.
+ */
+std::vector<std::size_t>
+replaySweep(const std::string &tr, const isa::Program &prog,
+            const std::vector<const SweepVariant *> &vs,
+            const std::vector<std::vector<std::size_t>> &units,
+            std::vector<SweepRun> &out)
+{
+    // Group-sharded replay is byte-identical to the serial pass
+    // (sweep_test), but it is disabled while chaos is armed: shard
+    // tasks would consume the shard pool's TaskThrow stream, changing
+    // which faults later campaign runs see.
+    const unsigned shards = chaos::engine().enabled() ? 1 : shardJobs();
+    // Each group of units reads the trace on its own, so groups share
+    // nothing and fill disjoint slots of out.
+    auto replayGroup = [&](const std::pair<std::size_t, std::size_t> &g) {
+        SweepTree tree(vs, std::span(units).subspan(g.first,
+                                                    g.second - g.first));
+        trace::TraceFileReader reader(tr, prog);
+        std::uint64_t n = reader.replay(tree.root());
+        tree.collect(out);
+        return n;
+    };
+    auto groups = partitionGroups(
+        units.size(), std::min<std::size_t>(shards, units.size()));
+    std::uint64_t n = groups.size() > 1
+                          ? shardPool().map(groups, replayGroup).front()
+                          : replayGroup(groups.front());
+    addInstructionsProcessed(n * vs.size());
+    std::vector<std::size_t> served;
+    for (const auto &g : groups) {
+        std::size_t k = 0;
+        for (std::size_t u = g.first; u < g.second; ++u)
+            k += units[u].size();
+        served.push_back(k);
+    }
+    return served;
+}
+
 } // namespace
 
 /**
@@ -487,6 +602,10 @@ uniqueTempName(const std::string &path)
  * stale fingerprint, old format version, truncation, bit flip — is
  * treated as a cache miss: the bad file is deleted, counted in
  * Stats::traceInvalid, and regenerated.
+ *
+ * Writing the trace is not counted in instructionsProcessed(): only
+ * the records a run consumes are, so the counter reads the same with
+ * a cold cache as with a warm one.
  */
 std::string
 RunCache::Impl::ensureTrace(RunCache &cache, const Workload &w,
@@ -546,29 +665,13 @@ RunCache::Impl::ensureTrace(RunCache &cache, const Workload &w,
             {
                 obs::Timeline::Scope span("trace:" + w.name, "trace");
                 trace::TraceFileWriter writer(tmp, fp);
-                vm::Interpreter interp(*prog);
-                // Phase 1 is the unbounded phase, so it honors the
-                // same watchdog budgets as the in-memory drivers
-                // (replays are bounded by the verified file).
-                std::uint64_t wallMs = rc.wallLimitMs != 0
-                                           ? rc.wallLimitMs
-                                           : defaultWallLimitMs();
                 try {
-                    if (wallMs != 0 || rc.recordBudget != 0) {
-                        WatchdogSink wd(&writer, wallMs,
-                                        rc.recordBudget);
-                        interp.run(&wd, rc.maxInstructions);
-                    } else {
-                        interp.run(&writer, rc.maxInstructions);
-                    }
+                    interpret(*prog, rc, writer);
                 } catch (const SimError &) {
                     writer.close();
                     std::remove(tmp.c_str());
                     throw;
                 }
-                if (!interp.halted())
-                    writer.finish();
-                addInstructionsProcessed(interp.retired());
                 written = writer.close();
                 if (!written)
                     lvp_warn("trace cache: cannot write '%s' (%s)",
@@ -631,9 +734,7 @@ RunCache::locality(const Workload &w, CodeGen cg, unsigned scale,
                         core::ValueLocalityProfiler>();
                     trace::TraceFileReader reader(tr, *prog);
                     addInstructionsProcessed(reader.replay(*prof));
-                    impl_->traceReplays.fetch_add(
-                        1, std::memory_order_relaxed);
-                    impl_->obsTraceReplays.add();
+                    impl_->noteReplay(1);
                     return std::shared_ptr<
                         const core::ValueLocalityProfiler>(prof);
                 } catch (const SimError &e) {
@@ -644,89 +745,6 @@ RunCache::locality(const Workload &w, CodeGen cg, unsigned scale,
                 const core::ValueLocalityProfiler>(
                 std::make_shared<core::ValueLocalityProfiler>(
                     profileLocality(*prog, rc)));
-        });
-}
-
-core::LvpStats
-RunCache::lvpOnly(const Workload &w, CodeGen cg, unsigned scale,
-                  const core::LvpConfig &cfg, const RunConfig &rc)
-{
-    std::string key = runKey(w, cg, scale, rc) + "|lvp|" + fp(cfg);
-    return impl_->getOrCompute<core::LvpStats>(
-        impl_->lvps, key, [&] {
-            auto prog = program(w, cg, scale);
-            std::string tr =
-                impl_->ensureTrace(*this, w, cg, scale, rc);
-            obs::Timeline::Scope span("lvp:" + w.name, "sim");
-            if (!tr.empty()) {
-                // Checkpointed sharded replay is byte-identical to
-                // the serial annotator pass (shard_replay_test), but
-                // it is disabled while chaos is armed: shard tasks
-                // would consume the shard pool's TaskThrow stream,
-                // changing which faults later campaign runs see.
-                unsigned shards = shardJobs();
-                try {
-                    core::LvpStats s;
-                    if (shards > 1 && !chaos::engine().enabled()) {
-                        s = shardedLvpReplay(tr, *prog, cfg, shards);
-                    } else {
-                        NullSink null_sink;
-                        core::LvpAnnotator annot(cfg, null_sink);
-                        trace::TraceFileReader reader(tr, *prog);
-                        addInstructionsProcessed(reader.replay(annot));
-                        s = annot.unit().stats();
-                    }
-                    impl_->traceReplays.fetch_add(
-                        1, std::memory_order_relaxed);
-                    impl_->obsTraceReplays.add();
-                    return s;
-                } catch (const SimError &e) {
-                    impl_->onReplayError(tr, e);
-                }
-            }
-            return runLvpOnly(*prog, cfg, rc);
-        });
-}
-
-core::LvpStats
-RunCache::predictorOnly(const Workload &w, CodeGen cg, unsigned scale,
-                        const core::PredictorInfo &info,
-                        const RunConfig &rc)
-{
-    // Registry entries are fixed-budget instances, so the registry
-    // name is the whole configuration fingerprint.
-    std::string key = runKey(w, cg, scale, rc) + "|pred|" + info.name;
-    return impl_->getOrCompute<core::LvpStats>(
-        impl_->preds, key, [&] {
-            auto prog = program(w, cg, scale);
-            std::string tr =
-                impl_->ensureTrace(*this, w, cg, scale, rc);
-            obs::Timeline::Scope span("pred:" + w.name, "sim");
-            if (!tr.empty()) {
-                // Same sharding policy as lvpOnly: checkpointed
-                // sharded replay unless chaos is armed.
-                unsigned shards = shardJobs();
-                try {
-                    core::LvpStats s;
-                    if (shards > 1 && !chaos::engine().enabled()) {
-                        s = shardedPredictorReplay(tr, *prog, info,
-                                                   shards);
-                    } else {
-                        NullSink null_sink;
-                        core::PredictorAnnotator annot(info, null_sink);
-                        trace::TraceFileReader reader(tr, *prog);
-                        addInstructionsProcessed(reader.replay(annot));
-                        s = annot.unit().stats();
-                    }
-                    impl_->traceReplays.fetch_add(
-                        1, std::memory_order_relaxed);
-                    impl_->obsTraceReplays.add();
-                    return s;
-                } catch (const SimError &e) {
-                    impl_->onReplayError(tr, e);
-                }
-            }
-            return runPredictorOnly(*prog, info, rc);
         });
 }
 
@@ -742,8 +760,7 @@ RunCache::replayShared(const Workload &w, CodeGen cg, unsigned scale,
             trace::TraceFileReader reader(tr, *prog);
             std::uint64_t n = reader.replay(sink);
             addInstructionsProcessed(n);
-            impl_->traceReplays.fetch_add(1, std::memory_order_relaxed);
-            impl_->obsTraceReplays.add();
+            impl_->noteReplay(1);
             return n;
         } catch (const SimError &e) {
             // Invalidate the artifact, then let the caller decide:
@@ -754,584 +771,48 @@ RunCache::replayShared(const Workload &w, CodeGen cg, unsigned scale,
             throw;
         }
     }
-    // No usable trace: interpret in memory under the same watchdog
-    // envelope phase 1 uses.
-    vm::Interpreter interp(*prog);
-    std::uint64_t wallMs =
-        rc.wallLimitMs != 0 ? rc.wallLimitMs : defaultWallLimitMs();
-    if (wallMs != 0 || rc.recordBudget != 0) {
-        WatchdogSink wd(&sink, wallMs, rc.recordBudget);
-        interp.run(&wd, rc.maxInstructions);
-    } else {
-        interp.run(&sink, rc.maxInstructions);
-    }
-    if (!interp.halted())
-        sink.finish();
-    addInstructionsProcessed(interp.retired());
-    return interp.retired();
+    std::uint64_t n = interpret(*prog, rc, sink);
+    addInstructionsProcessed(n);
+    return n;
 }
 
-std::vector<core::LvpStats>
-RunCache::predictorOnlyMany(
-    const Workload &w, CodeGen cg, unsigned scale,
-    const std::vector<const core::PredictorInfo *> &infos,
-    const RunConfig &rc)
+std::vector<SweepRun>
+RunCache::sweep(const Workload &w, CodeGen cg, unsigned scale,
+                const std::vector<SweepVariant> &variants,
+                const RunConfig &rc)
 {
-    std::string base = runKey(w, cg, scale, rc) + "|pred|";
-    std::vector<std::string> keys;
-    keys.reserve(infos.size());
-    for (const auto *info : infos)
-        keys.push_back(base + info->name);
-    return impl_->fanOutCompute<core::LvpStats>(
-        impl_->preds, keys,
-        [&](const std::vector<std::size_t> &owned,
-            std::vector<std::optional<core::LvpStats>> &vals) {
-            auto prog = program(w, cg, scale);
-            std::string tr =
-                impl_->ensureTrace(*this, w, cg, scale, rc);
-            if (tr.empty())
-                return;
-            obs::Timeline::Scope span("pred:" + w.name, "sim");
-            // Variant-group sharding over the predictor zoo; see
-            // lvpOnlyMany for the shape and the chaos gating.
-            std::size_t G = std::min<std::size_t>(shardJobs(),
-                                                  owned.size());
-            if (G >= 2 && !chaos::engine().enabled()) {
-                struct GroupOut
-                {
-                    std::vector<core::LvpStats> stats;
-                    std::uint64_t n = 0;
-                };
-                auto groups = partitionGroups(owned.size(), G);
-                try {
-                    auto outs = shardPool().map(
-                        groups,
-                        [&](const std::pair<std::size_t,
-                                            std::size_t> &g) {
-                            NullSink null_sink;
-                            std::vector<std::unique_ptr<
-                                core::PredictorAnnotator>>
-                                annots;
-                            std::vector<trace::TraceSink *> tops;
-                            for (std::size_t k = g.first;
-                                 k < g.second; ++k) {
-                                annots.push_back(
-                                    std::make_unique<
-                                        core::PredictorAnnotator>(
-                                        *infos[owned[k]], null_sink));
-                                tops.push_back(annots.back().get());
-                            }
-                            trace::TraceFileReader reader(tr, *prog);
-                            trace::MultiSink multi(std::move(tops));
-                            GroupOut out;
-                            out.n = reader.replay(multi);
-                            for (const auto &a : annots)
-                                out.stats.push_back(a->unit().stats());
-                            return out;
-                        });
-                    std::size_t k = 0;
-                    for (const auto &o : outs) {
-                        for (const auto &s : o.stats)
-                            vals[k++] = s;
-                        impl_->noteFanoutReplay(o.stats.size());
-                    }
-                    addInstructionsProcessed(outs.front().n *
-                                             owned.size());
-                } catch (const SimError &e) {
-                    impl_->onReplayError(tr, e);
-                }
-                return;
-            }
-            NullSink null_sink;
-            std::vector<std::unique_ptr<core::PredictorAnnotator>>
-                annots;
-            std::vector<trace::TraceSink *> tops;
-            for (std::size_t i : owned) {
-                annots.push_back(
-                    std::make_unique<core::PredictorAnnotator>(
-                        *infos[i], null_sink));
-                tops.push_back(annots.back().get());
-            }
-            try {
-                trace::TraceFileReader reader(tr, *prog);
-                trace::MultiSink multi(std::move(tops));
-                std::uint64_t n = reader.replay(multi);
-                addInstructionsProcessed(n * owned.size());
-                impl_->noteFanoutReplay(owned.size());
-            } catch (const SimError &e) {
-                impl_->onReplayError(tr, e);
-                return;
-            }
-            for (std::size_t k = 0; k < owned.size(); ++k)
-                vals[k] = annots[k]->unit().stats();
-        },
-        [&](std::size_t i) {
-            auto prog = program(w, cg, scale);
-            obs::Timeline::Scope span("pred:" + w.name, "sim");
-            return runPredictorOnly(*prog, *infos[i], rc);
-        });
-}
-
-PpcRun
-RunCache::ppc620(const Workload &w, CodeGen cg, unsigned scale,
-                 const uarch::Ppc620Config &mc,
-                 const std::optional<core::LvpConfig> &lvp,
-                 const RunConfig &rc)
-{
-    std::string key =
-        runKey(w, cg, scale, rc) + "|ppc|" + fp(mc) + '|' + fp(lvp);
-    return impl_->getOrCompute<PpcRun>(
-        impl_->ppcRuns, key, [&] {
-            auto prog = program(w, cg, scale);
-            std::string tr =
-                impl_->ensureTrace(*this, w, cg, scale, rc);
-            obs::Timeline::Scope span("ppc620:" + w.name, "sim");
-            if (!tr.empty()) {
-                try {
-                    uarch::Ppc620Model model(mc, lvp.has_value());
-                    PpcRun r;
-                    trace::TraceFileReader reader(tr, *prog);
-                    if (lvp) {
-                        core::LvpAnnotator annot(*lvp, model);
-                        addInstructionsProcessed(
-                            reader.replay(annot));
-                        r.lvp = annot.unit().stats();
-                    } else {
-                        addInstructionsProcessed(
-                            reader.replay(model));
-                    }
-                    impl_->traceReplays.fetch_add(
-                        1, std::memory_order_relaxed);
-                    impl_->obsTraceReplays.add();
-                    r.timing = model.stats();
-                    publishModelRun(r.timing);
-                    return r;
-                } catch (const SimError &e) {
-                    impl_->onReplayError(tr, e);
-                }
-            }
-            return runPpc620(*prog, mc, lvp, rc);
-        });
-}
-
-AlphaRun
-RunCache::alpha21164(const Workload &w, CodeGen cg, unsigned scale,
-                     const uarch::AlphaConfig &mc,
-                     const std::optional<core::LvpConfig> &lvp,
-                     const RunConfig &rc)
-{
-    std::string key =
-        runKey(w, cg, scale, rc) + "|alpha|" + fp(mc) + '|' + fp(lvp);
-    return impl_->getOrCompute<AlphaRun>(
-        impl_->alphaRuns, key, [&] {
-            auto prog = program(w, cg, scale);
-            std::string tr =
-                impl_->ensureTrace(*this, w, cg, scale, rc);
-            obs::Timeline::Scope span("alpha21164:" + w.name, "sim");
-            if (!tr.empty()) {
-                try {
-                    uarch::Alpha21164Model model(mc, lvp.has_value());
-                    AlphaRun r;
-                    trace::TraceFileReader reader(tr, *prog);
-                    if (lvp) {
-                        core::LvpAnnotator annot(*lvp, model);
-                        addInstructionsProcessed(
-                            reader.replay(annot));
-                        r.lvp = annot.unit().stats();
-                    } else {
-                        addInstructionsProcessed(
-                            reader.replay(model));
-                    }
-                    impl_->traceReplays.fetch_add(
-                        1, std::memory_order_relaxed);
-                    impl_->obsTraceReplays.add();
-                    r.timing = model.stats();
-                    publishModelRun(r.timing);
-                    return r;
-                } catch (const SimError &e) {
-                    impl_->onReplayError(tr, e);
-                }
-            }
-            return runAlpha21164(*prog, mc, lvp, rc);
-        });
-}
-
-std::vector<core::LvpStats>
-RunCache::lvpOnlyMany(const Workload &w, CodeGen cg, unsigned scale,
-                      const std::vector<core::LvpConfig> &cfgs,
-                      const RunConfig &rc)
-{
-    std::string base = runKey(w, cg, scale, rc) + "|lvp|";
-    std::vector<std::string> keys;
-    keys.reserve(cfgs.size());
-    for (const auto &cfg : cfgs)
-        keys.push_back(base + fp(cfg));
-    return impl_->fanOutCompute<core::LvpStats>(
-        impl_->lvps, keys,
-        [&](const std::vector<std::size_t> &owned,
-            std::vector<std::optional<core::LvpStats>> &vals) {
-            auto prog = program(w, cg, scale);
-            std::string tr =
-                impl_->ensureTrace(*this, w, cg, scale, rc);
-            if (tr.empty())
-                return;
-            obs::Timeline::Scope span("lvp:" + w.name, "sim");
-            // Variant-group sharding: cut the owned variants into
-            // contiguous groups and replay each group's MultiSink
-            // pass concurrently on the shard pool. Each group reads
-            // the (verified) trace independently, so groups share
-            // nothing and results stitch back in variant order.
-            // Disabled while chaos is armed: shard-pool tasks would
-            // consume its TaskThrow stream and shift which faults
-            // later campaign runs observe.
-            std::size_t G = std::min<std::size_t>(shardJobs(),
-                                                  owned.size());
-            if (G >= 2 && !chaos::engine().enabled()) {
-                struct GroupOut
-                {
-                    std::vector<core::LvpStats> stats;
-                    std::uint64_t n = 0;
-                };
-                auto groups = partitionGroups(owned.size(), G);
-                try {
-                    auto outs = shardPool().map(
-                        groups,
-                        [&](const std::pair<std::size_t,
-                                            std::size_t> &g) {
-                            NullSink null_sink;
-                            std::vector<
-                                std::unique_ptr<core::LvpAnnotator>>
-                                annots;
-                            std::vector<trace::TraceSink *> tops;
-                            for (std::size_t k = g.first;
-                                 k < g.second; ++k) {
-                                annots.push_back(
-                                    std::make_unique<
-                                        core::LvpAnnotator>(
-                                        cfgs[owned[k]], null_sink));
-                                tops.push_back(annots.back().get());
-                            }
-                            trace::TraceFileReader reader(tr, *prog);
-                            trace::MultiSink multi(std::move(tops));
-                            GroupOut out;
-                            out.n = reader.replay(multi);
-                            for (const auto &a : annots)
-                                out.stats.push_back(a->unit().stats());
-                            return out;
-                        });
-                    std::size_t k = 0;
-                    for (const auto &o : outs) {
-                        for (const auto &s : o.stats)
-                            vals[k++] = s;
-                        impl_->noteFanoutReplay(o.stats.size());
-                    }
-                    addInstructionsProcessed(outs.front().n *
-                                             owned.size());
-                } catch (const SimError &e) {
-                    impl_->onReplayError(tr, e);
-                }
-                return;
-            }
-            NullSink null_sink;
-            std::vector<std::unique_ptr<core::LvpAnnotator>> annots;
-            std::vector<trace::TraceSink *> tops;
-            for (std::size_t i : owned) {
-                annots.push_back(std::make_unique<core::LvpAnnotator>(
-                    cfgs[i], null_sink));
-                tops.push_back(annots.back().get());
-            }
-            try {
-                trace::TraceFileReader reader(tr, *prog);
-                trace::MultiSink multi(std::move(tops));
-                std::uint64_t n = reader.replay(multi);
-                addInstructionsProcessed(n * owned.size());
-                impl_->noteFanoutReplay(owned.size());
-            } catch (const SimError &e) {
-                impl_->onReplayError(tr, e);
-                return;
-            }
-            for (std::size_t k = 0; k < owned.size(); ++k)
-                vals[k] = annots[k]->unit().stats();
-        },
-        [&](std::size_t i) {
-            auto prog = program(w, cg, scale);
-            obs::Timeline::Scope span("lvp:" + w.name, "sim");
-            return runLvpOnly(*prog, cfgs[i], rc);
-        });
-}
-
-std::vector<PpcRun>
-RunCache::ppc620Many(const Workload &w, CodeGen cg, unsigned scale,
-                     const std::vector<PpcVariant> &variants,
-                     const RunConfig &rc)
-{
-    std::string base = runKey(w, cg, scale, rc) + "|ppc|";
+    std::string base = runKey(w, cg, scale, rc);
     std::vector<std::string> keys;
     keys.reserve(variants.size());
     for (const auto &v : variants)
-        keys.push_back(base + fp(v.mc) + '|' + fp(v.lvp));
-    return impl_->fanOutCompute<PpcRun>(
-        impl_->ppcRuns, keys,
-        [&](const std::vector<std::size_t> &owned,
-            std::vector<std::optional<PpcRun>> &vals) {
+        keys.push_back(base + variantKey(v));
+    return impl_->fanOutCompute<SweepRun>(
+        impl_->runs, keys, [&](const std::vector<std::size_t> &owned) {
+            std::vector<const SweepVariant *> vs;
+            for (std::size_t i : owned)
+                vs.push_back(&variants[i]);
+            const auto units = sweepUnits(vs);
             auto prog = program(w, cg, scale);
             std::string tr =
                 impl_->ensureTrace(*this, w, cg, scale, rc);
-            if (tr.empty())
-                return;
-            obs::Timeline::Scope span("ppc620:" + w.name, "sim");
-            // Variant-group sharding; see lvpOnlyMany for the shape
-            // and the chaos gating rationale.
-            std::size_t G = std::min<std::size_t>(shardJobs(),
-                                                  owned.size());
-            if (G >= 2 && !chaos::engine().enabled()) {
-                struct GroupOut
-                {
-                    std::vector<PpcRun> runs;
-                    std::uint64_t n = 0;
-                };
-                auto groups = partitionGroups(owned.size(), G);
+            obs::Timeline::Scope span("sweep:" + w.name, "sim");
+            std::vector<SweepRun> out(vs.size());
+            if (!tr.empty()) {
                 try {
-                    auto outs = shardPool().map(
-                        groups,
-                        [&](const std::pair<std::size_t,
-                                            std::size_t> &g) {
-                            std::vector<
-                                std::unique_ptr<uarch::Ppc620Model>>
-                                models;
-                            std::vector<
-                                std::unique_ptr<core::LvpAnnotator>>
-                                annots;
-                            std::vector<trace::TraceSink *> tops;
-                            for (std::size_t k = g.first;
-                                 k < g.second; ++k) {
-                                const PpcVariant &v =
-                                    variants[owned[k]];
-                                models.push_back(
-                                    std::make_unique<
-                                        uarch::Ppc620Model>(
-                                        v.mc, v.lvp.has_value()));
-                                if (v.lvp) {
-                                    annots.push_back(
-                                        std::make_unique<
-                                            core::LvpAnnotator>(
-                                            *v.lvp, *models.back()));
-                                    tops.push_back(
-                                        annots.back().get());
-                                } else {
-                                    annots.push_back(nullptr);
-                                    tops.push_back(
-                                        models.back().get());
-                                }
-                            }
-                            trace::TraceFileReader reader(tr, *prog);
-                            trace::MultiSink multi(std::move(tops));
-                            GroupOut out;
-                            out.n = reader.replay(multi);
-                            for (std::size_t j = 0;
-                                 j < models.size(); ++j) {
-                                PpcRun r;
-                                if (annots[j])
-                                    r.lvp = annots[j]->unit().stats();
-                                r.timing = models[j]->stats();
-                                publishModelRun(r.timing);
-                                out.runs.push_back(std::move(r));
-                            }
-                            return out;
-                        });
-                    std::size_t k = 0;
-                    for (auto &o : outs) {
-                        for (auto &r : o.runs)
-                            vals[k++] = std::move(r);
-                        impl_->noteFanoutReplay(o.runs.size());
-                    }
-                    addInstructionsProcessed(outs.front().n *
-                                             owned.size());
+                    for (std::size_t k :
+                         replaySweep(tr, *prog, vs, units, out))
+                        impl_->noteReplay(k);
+                    return out;
                 } catch (const SimError &e) {
                     impl_->onReplayError(tr, e);
-                }
-                return;
-            }
-            std::vector<std::unique_ptr<uarch::Ppc620Model>> models;
-            std::vector<std::unique_ptr<core::LvpAnnotator>> annots;
-            std::vector<trace::TraceSink *> tops;
-            for (std::size_t i : owned) {
-                const PpcVariant &v = variants[i];
-                models.push_back(std::make_unique<uarch::Ppc620Model>(
-                    v.mc, v.lvp.has_value()));
-                if (v.lvp) {
-                    annots.push_back(
-                        std::make_unique<core::LvpAnnotator>(
-                            *v.lvp, *models.back()));
-                    tops.push_back(annots.back().get());
-                } else {
-                    annots.push_back(nullptr);
-                    tops.push_back(models.back().get());
+                    out.assign(vs.size(), SweepRun{});
                 }
             }
-            try {
-                trace::TraceFileReader reader(tr, *prog);
-                trace::MultiSink multi(std::move(tops));
-                std::uint64_t n = reader.replay(multi);
-                addInstructionsProcessed(n * owned.size());
-                impl_->noteFanoutReplay(owned.size());
-            } catch (const SimError &e) {
-                impl_->onReplayError(tr, e);
-                return;
-            }
-            for (std::size_t k = 0; k < owned.size(); ++k) {
-                PpcRun r;
-                if (annots[k])
-                    r.lvp = annots[k]->unit().stats();
-                r.timing = models[k]->stats();
-                publishModelRun(r.timing);
-                vals[k] = std::move(r);
-            }
-        },
-        [&](std::size_t i) {
-            const PpcVariant &v = variants[i];
-            auto prog = program(w, cg, scale);
-            obs::Timeline::Scope span("ppc620:" + w.name, "sim");
-            return runPpc620(*prog, v.mc, v.lvp, rc);
-        });
-}
-
-std::vector<AlphaRun>
-RunCache::alpha21164Many(const Workload &w, CodeGen cg,
-                         unsigned scale,
-                         const std::vector<AlphaVariant> &variants,
-                         const RunConfig &rc)
-{
-    std::string base = runKey(w, cg, scale, rc) + "|alpha|";
-    std::vector<std::string> keys;
-    keys.reserve(variants.size());
-    for (const auto &v : variants)
-        keys.push_back(base + fp(v.mc) + '|' + fp(v.lvp));
-    return impl_->fanOutCompute<AlphaRun>(
-        impl_->alphaRuns, keys,
-        [&](const std::vector<std::size_t> &owned,
-            std::vector<std::optional<AlphaRun>> &vals) {
-            auto prog = program(w, cg, scale);
-            std::string tr =
-                impl_->ensureTrace(*this, w, cg, scale, rc);
-            if (tr.empty())
-                return;
-            obs::Timeline::Scope span("alpha21164:" + w.name, "sim");
-            // Variant-group sharding; see lvpOnlyMany for the shape
-            // and the chaos gating rationale.
-            std::size_t G = std::min<std::size_t>(shardJobs(),
-                                                  owned.size());
-            if (G >= 2 && !chaos::engine().enabled()) {
-                struct GroupOut
-                {
-                    std::vector<AlphaRun> runs;
-                    std::uint64_t n = 0;
-                };
-                auto groups = partitionGroups(owned.size(), G);
-                try {
-                    auto outs = shardPool().map(
-                        groups,
-                        [&](const std::pair<std::size_t,
-                                            std::size_t> &g) {
-                            std::vector<std::unique_ptr<
-                                uarch::Alpha21164Model>>
-                                models;
-                            std::vector<
-                                std::unique_ptr<core::LvpAnnotator>>
-                                annots;
-                            std::vector<trace::TraceSink *> tops;
-                            for (std::size_t k = g.first;
-                                 k < g.second; ++k) {
-                                const AlphaVariant &v =
-                                    variants[owned[k]];
-                                models.push_back(
-                                    std::make_unique<
-                                        uarch::Alpha21164Model>(
-                                        v.mc, v.lvp.has_value()));
-                                if (v.lvp) {
-                                    annots.push_back(
-                                        std::make_unique<
-                                            core::LvpAnnotator>(
-                                            *v.lvp, *models.back()));
-                                    tops.push_back(
-                                        annots.back().get());
-                                } else {
-                                    annots.push_back(nullptr);
-                                    tops.push_back(
-                                        models.back().get());
-                                }
-                            }
-                            trace::TraceFileReader reader(tr, *prog);
-                            trace::MultiSink multi(std::move(tops));
-                            GroupOut out;
-                            out.n = reader.replay(multi);
-                            for (std::size_t j = 0;
-                                 j < models.size(); ++j) {
-                                AlphaRun r;
-                                if (annots[j])
-                                    r.lvp = annots[j]->unit().stats();
-                                r.timing = models[j]->stats();
-                                publishModelRun(r.timing);
-                                out.runs.push_back(std::move(r));
-                            }
-                            return out;
-                        });
-                    std::size_t k = 0;
-                    for (auto &o : outs) {
-                        for (auto &r : o.runs)
-                            vals[k++] = std::move(r);
-                        impl_->noteFanoutReplay(o.runs.size());
-                    }
-                    addInstructionsProcessed(outs.front().n *
-                                             owned.size());
-                } catch (const SimError &e) {
-                    impl_->onReplayError(tr, e);
-                }
-                return;
-            }
-            std::vector<std::unique_ptr<uarch::Alpha21164Model>>
-                models;
-            std::vector<std::unique_ptr<core::LvpAnnotator>> annots;
-            std::vector<trace::TraceSink *> tops;
-            for (std::size_t i : owned) {
-                const AlphaVariant &v = variants[i];
-                models.push_back(
-                    std::make_unique<uarch::Alpha21164Model>(
-                        v.mc, v.lvp.has_value()));
-                if (v.lvp) {
-                    annots.push_back(
-                        std::make_unique<core::LvpAnnotator>(
-                            *v.lvp, *models.back()));
-                    tops.push_back(annots.back().get());
-                } else {
-                    annots.push_back(nullptr);
-                    tops.push_back(models.back().get());
-                }
-            }
-            try {
-                trace::TraceFileReader reader(tr, *prog);
-                trace::MultiSink multi(std::move(tops));
-                std::uint64_t n = reader.replay(multi);
-                addInstructionsProcessed(n * owned.size());
-                impl_->noteFanoutReplay(owned.size());
-            } catch (const SimError &e) {
-                impl_->onReplayError(tr, e);
-                return;
-            }
-            for (std::size_t k = 0; k < owned.size(); ++k) {
-                AlphaRun r;
-                if (annots[k])
-                    r.lvp = annots[k]->unit().stats();
-                r.timing = models[k]->stats();
-                publishModelRun(r.timing);
-                vals[k] = std::move(r);
-            }
-        },
-        [&](std::size_t i) {
-            const AlphaVariant &v = variants[i];
-            auto prog = program(w, cg, scale);
-            obs::Timeline::Scope span("alpha21164:" + w.name, "sim");
-            return runAlpha21164(*prog, v.mc, v.lvp, rc);
+            SweepTree tree(vs, units);
+            std::uint64_t n = interpret(*prog, rc, tree.root());
+            addInstructionsProcessed(n * vs.size());
+            tree.collect(out);
+            return out;
         });
 }
 
@@ -1373,10 +854,7 @@ RunCache::clear()
     impl_->programs.clear();
     impl_->funcs.clear();
     impl_->localities.clear();
-    impl_->lvps.clear();
-    impl_->preds.clear();
-    impl_->ppcRuns.clear();
-    impl_->alphaRuns.clear();
+    impl_->runs.clear();
     impl_->traces.clear();
     impl_->hits = 0;
     impl_->misses = 0;

@@ -9,16 +9,17 @@
  * shares, across every experiment runner in the process:
  *
  *  - built Programs, keyed on (workload, codegen, scale);
- *  - functional results, locality profiles, LVP-only statistics, and
- *    timing runs, keyed additionally on maxInstructions and on a full
- *    fingerprint of the machine/LVP configuration (so ablation
- *    variants never alias the paper presets);
+ *  - functional results, locality profiles, and sweep variants
+ *    (predictor-only and timing runs), keyed additionally on
+ *    maxInstructions, the predictor name, and a full fingerprint of
+ *    the machine configuration (so ablation variants never alias the
+ *    paper presets);
  *  - optionally, on-disk phase-1 traces (Section 5's decoupled
  *    methodology): when a trace directory is configured, the
  *    functional interpreter runs once per (workload, codegen, scale,
  *    maxInstructions) to write a binary trace via TraceFileWriter,
- *    and every phase-2/3 run (LVP-only, locality, timing) replays
- *    that trace through TraceFileReader instead of re-interpreting.
+ *    and every phase-2/3 run (locality, sweeps) replays that trace
+ *    through TraceFileReader instead of re-interpreting.
  *
  * All entries are computed at most once even under concurrent access:
  * the first requester computes, later requesters block on a shared
@@ -50,6 +51,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/config.hh"
@@ -60,6 +62,40 @@
 
 namespace lvplib::sim
 {
+
+/**
+ * One sweep variant: an optional predictor in front of an optional
+ * machine. A predictor alone is a predictor-only run; a machine alone
+ * is the no-LVP baseline. An LvpConfig enters as
+ * core::lvpPredictor(config), a registry predictor as its
+ * PredictorInfo.
+ */
+struct SweepVariant
+{
+    std::optional<core::PredictorInfo> predictor;
+    std::variant<std::monostate, uarch::Ppc620Config, uarch::AlphaConfig>
+        machine;
+};
+
+/** One sweep variant's result. */
+struct SweepRun
+{
+    core::LvpStats lvp; ///< zeroed without a predictor
+    std::variant<std::monostate, uarch::OooStats, uarch::InOrderStats>
+        timing;
+
+    /** The 620/620+ timing; throws std::bad_variant_access otherwise. */
+    const uarch::OooStats &ppc() const
+    {
+        return std::get<uarch::OooStats>(timing);
+    }
+
+    /** The 21164 timing; throws std::bad_variant_access otherwise. */
+    const uarch::InOrderStats &alpha() const
+    {
+        return std::get<uarch::InOrderStats>(timing);
+    }
+};
 
 /** Memoizes experiment sub-runs; see file comment. */
 class RunCache
@@ -97,19 +133,6 @@ class RunCache
     locality(const workloads::Workload &w, workloads::CodeGen cg,
              unsigned scale, const RunConfig &rc);
 
-    /** Cached runLvpOnly(). */
-    core::LvpStats lvpOnly(const workloads::Workload &w,
-                           workloads::CodeGen cg, unsigned scale,
-                           const core::LvpConfig &cfg,
-                           const RunConfig &rc);
-
-    /** Cached runPredictorOnly() for a registry predictor, keyed on
-     *  its registry name (championship leaderboard). */
-    core::LvpStats predictorOnly(const workloads::Workload &w,
-                                 workloads::CodeGen cg, unsigned scale,
-                                 const core::PredictorInfo &info,
-                                 const RunConfig &rc);
-
     /**
      * Replay the shared phase-1 trace of (w, cg, scale, rc) into a
      * caller-owned @p sink — the per-session half of the
@@ -131,69 +154,37 @@ class RunCache
                                const RunConfig &rc,
                                trace::TraceSink &sink);
 
-    /** Cached runPpc620(). */
-    PpcRun ppc620(const workloads::Workload &w, workloads::CodeGen cg,
-                  unsigned scale, const uarch::Ppc620Config &mc,
-                  const std::optional<core::LvpConfig> &lvp,
-                  const RunConfig &rc);
-
-    /** Cached runAlpha21164(). */
-    AlphaRun alpha21164(const workloads::Workload &w,
-                        workloads::CodeGen cg, unsigned scale,
-                        const uarch::AlphaConfig &mc,
-                        const std::optional<core::LvpConfig> &lvp,
-                        const RunConfig &rc);
-
     /**
-     * @{
-     * Single-pass configuration sweeps. Each call is equivalent to
-     * invoking the matching singular method once per variant, in
-     * order — same keys, same memoized values, same exceptions — but
-     * every variant still missing from the cache is computed in ONE
-     * replay of the shared phase-1 trace, fanned out through a
-     * MultiSink (runcache.trace_replays counts one replay per pass,
-     * not per variant). If the trace is unusable the un-memoized
-     * variants fall back to per-variant in-memory runs.
+     * Run a configuration sweep over one workload: element i of the
+     * result is @p variants[i]'s run. Each variant is memoized on its
+     * own (keyed on the predictor name and a full fingerprint of the
+     * machine), and every variant still missing from the cache is
+     * computed in ONE pass over the record stream: one annotator per
+     * distinct predictor, fanning out to that predictor's machines,
+     * with the baseline machines beside them under one root. The pass
+     * replays the verified phase-1 trace, or interprets the program
+     * in memory when there is no usable trace. With shardJobs() > 1
+     * the pass splits by distinct predictor into up to shardJobs()
+     * groups, each reading the trace on the shard pool; this is
+     * disabled while chaos is armed. Every path gives the same
+     * results as per-variant runPredictorOnly / runPpc620 /
+     * runAlpha21164 runs of a program that halts. When
+     * maxInstructions cuts the program short, every path finishes the
+     * machines, as the end of a trace replay does; runPpc620 /
+     * runAlpha21164 leave a cut-short model unfinished.
+     *
+     * Counts each consumed record once per computed variant in
+     * instructionsProcessed(), and one trace replay per trace read
+     * (one per group).
+     *
+     * @throws std::invalid_argument for a variant with neither a
+     * predictor nor a machine; whatever the pass throws otherwise
+     * (nothing failed is memoized).
      */
-    std::vector<core::LvpStats>
-    lvpOnlyMany(const workloads::Workload &w, workloads::CodeGen cg,
-                unsigned scale,
-                const std::vector<core::LvpConfig> &cfgs,
-                const RunConfig &rc);
-
-    /** lvpOnlyMany() for registry predictors: one trace replay fans
-     *  out over every still-missing predictor in @p infos. */
-    std::vector<core::LvpStats>
-    predictorOnlyMany(const workloads::Workload &w,
-                      workloads::CodeGen cg, unsigned scale,
-                      const std::vector<const core::PredictorInfo *> &infos,
-                      const RunConfig &rc);
-
-    /** One timing-sweep variant: a machine config plus an optional
-     *  LVP unit (nullopt = the no-LVP baseline machine). */
-    struct PpcVariant
-    {
-        uarch::Ppc620Config mc;
-        std::optional<core::LvpConfig> lvp;
-    };
-
-    struct AlphaVariant
-    {
-        uarch::AlphaConfig mc;
-        std::optional<core::LvpConfig> lvp;
-    };
-
-    std::vector<PpcRun>
-    ppc620Many(const workloads::Workload &w, workloads::CodeGen cg,
-               unsigned scale, const std::vector<PpcVariant> &variants,
-               const RunConfig &rc);
-
-    std::vector<AlphaRun>
-    alpha21164Many(const workloads::Workload &w, workloads::CodeGen cg,
-                   unsigned scale,
-                   const std::vector<AlphaVariant> &variants,
-                   const RunConfig &rc);
-    /** @} */
+    std::vector<SweepRun> sweep(const workloads::Workload &w,
+                                workloads::CodeGen cg, unsigned scale,
+                                const std::vector<SweepVariant> &variants,
+                                const RunConfig &rc);
 
     /**
      * Enable (non-empty) or disable (empty) the on-disk trace cache.
@@ -210,7 +201,7 @@ class RunCache
         std::uint64_t hits = 0;     ///< memoized results returned
         std::uint64_t misses = 0;   ///< results computed
         std::uint64_t traceWrites = 0;  ///< phase-1 traces written
-        std::uint64_t traceReplays = 0; ///< runs served by replay
+        std::uint64_t traceReplays = 0; ///< trace files read through
         std::uint64_t traceInvalid = 0; ///< bad traces regenerated
         /** Intact traces from another format version regenerated
          *  (migration churn, kept apart from corruption). */

@@ -18,15 +18,13 @@ namespace
 {
 
 /**
- * One record's unit protocol, exactly as the serial annotators run
- * it: LvpAnnotator::annotate for the paper unit (loads, stores,
- * branches for the BHR extension), StrideAnnotator::consume and
- * runFcmOnly's sink for the others (loads and stores only). Byte
- * identity of the stitched stats depends on these staying in
- * lockstep with the annotators.
+ * One record's predictor protocol, exactly as PredictorAnnotator runs
+ * it: loads, stores, and branches all reach the unit, which ignores
+ * what it doesn't use. Byte identity of the stitched stats depends on
+ * the two staying in lockstep.
  */
 inline void
-drive(core::LvpUnit &u, const trace::TraceRecord &rec)
+drive(core::ValuePredictor &u, const trace::TraceRecord &rec)
 {
     const auto &inst = *rec.inst;
     if (inst.load())
@@ -37,66 +35,12 @@ drive(core::LvpUnit &u, const trace::TraceRecord &rec)
         u.onBranch(rec.taken);
 }
 
-inline void
-drive(core::StrideLvpUnit &u, const trace::TraceRecord &rec)
-{
-    const auto &inst = *rec.inst;
-    if (inst.load())
-        u.onLoad(rec.pc, rec.effAddr, rec.value, inst.accessSize());
-    else if (inst.store())
-        u.onStore(rec.effAddr, inst.accessSize());
-}
+} // namespace
 
-inline void
-drive(core::FcmUnit &u, const trace::TraceRecord &rec)
-{
-    const auto &inst = *rec.inst;
-    if (inst.load())
-        u.onLoad(rec.pc, rec.effAddr, rec.value, inst.accessSize());
-    else if (inst.store())
-        u.onStore(rec.effAddr, inst.accessSize());
-}
-
-/**
- * Adapter giving a registry predictor the (construct from config,
- * snapshot/restore, stats) shape the shardedReplay template expects,
- * with the PredictorInfo standing in as the config and std::any as
- * the snapshot type.
- */
-struct RegistryUnit
-{
-    using Snapshot = std::any;
-
-    explicit RegistryUnit(const core::PredictorInfo &info)
-        : unit(info.make())
-    {}
-
-    std::any snapshot() const { return unit->snapshotState(); }
-    void restore(const std::any &s) { unit->restoreState(s); }
-    const core::LvpStats &stats() const { return unit->stats(); }
-
-    std::unique_ptr<core::ValuePredictor> unit;
-};
-
-inline void
-drive(RegistryUnit &u, const trace::TraceRecord &rec)
-{
-    // Mirrors PredictorAnnotator::annotate: loads, stores, and
-    // branches all reach the unit, which ignores what it doesn't use.
-    const auto &inst = *rec.inst;
-    if (inst.load())
-        u.unit->onLoad(rec.pc, rec.effAddr, rec.value,
-                       inst.accessSize());
-    else if (inst.store())
-        u.unit->onStore(rec.effAddr, inst.accessSize());
-    else if (inst.branch())
-        u.unit->onBranch(rec.taken);
-}
-
-template <typename Unit, typename Config>
 core::LvpStats
-shardedReplay(const std::string &path, const isa::Program &prog,
-              const Config &cfg, unsigned shards)
+shardedPredictorReplay(const std::string &path,
+                       const isa::Program &prog,
+                       const core::PredictorInfo &info, unsigned shards)
 {
     trace::TraceFileReader leader(path, prog);
     const std::uint64_t total = leader.records();
@@ -107,15 +51,15 @@ shardedReplay(const std::string &path, const isa::Program &prog,
     if (shards < 2 || total < 2) {
         // Serial degenerate case: one unit over the whole file, the
         // shard pool untouched.
-        Unit unit(cfg);
+        auto unit = info.make();
         trace::TraceRecord rec;
         std::uint64_t n = 0;
         while (leader.next(rec)) {
-            drive(unit, rec);
+            drive(*unit, rec);
             ++n;
         }
         addInstructionsProcessed(n);
-        return unit.stats();
+        return unit->stats();
     }
 
     const std::uint64_t slice =
@@ -128,18 +72,18 @@ shardedReplay(const std::string &path, const isa::Program &prog,
     // deliberately discarded — the returned stats come only from the
     // stitched shard replays, so a checkpoint missing any replayable
     // state shows up as a stats mismatch, never as a silent pass.
-    std::vector<typename Unit::Snapshot> snaps;
+    std::vector<std::any> snaps;
     snaps.reserve(nShards);
     {
-        Unit scout(cfg);
-        snaps.push_back(scout.snapshot());
+        auto scout = info.make();
+        snaps.push_back(scout->snapshotState());
         trace::TraceRecord rec;
         std::uint64_t i = 0;
         while (leader.next(rec)) {
-            drive(scout, rec);
+            drive(*scout, rec);
             ++i;
             if (i % slice == 0 && i < total)
-                snaps.push_back(scout.snapshot());
+                snaps.push_back(scout->snapshotState());
         }
         lvp_assert(i == total && snaps.size() == nShards,
                    "leader pass saw %llu of %llu records",
@@ -155,13 +99,13 @@ shardedReplay(const std::string &path, const isa::Program &prog,
     }
     std::vector<core::LvpStats> partials = shardPool().map(
         windows, [&](const trace::TraceFileReader::Window &w) {
-            Unit unit(cfg);
-            unit.restore(snaps[w.first / slice]);
+            auto unit = info.make();
+            unit->restoreState(snaps[w.first / slice]);
             trace::TraceFileReader reader(path, prog, std::nullopt, w);
             trace::TraceRecord rec;
             std::uint64_t n = 0;
             while (reader.next(rec)) {
-                drive(unit, rec);
+                drive(*unit, rec);
                 ++n;
             }
             if (n != w.count)
@@ -169,7 +113,7 @@ shardedReplay(const std::string &path, const isa::Program &prog,
                     ErrorKind::TraceCorrupt,
                     "sharded replay: window delivered fewer records "
                     "than promised");
-            return unit.stats();
+            return unit->stats();
         });
 
     addInstructionsProcessed(total);
@@ -177,37 +121,6 @@ shardedReplay(const std::string &path, const isa::Program &prog,
     for (const auto &p : partials)
         out += p;
     return out;
-}
-
-} // namespace
-
-core::LvpStats
-shardedLvpReplay(const std::string &path, const isa::Program &prog,
-                 const core::LvpConfig &cfg, unsigned shards)
-{
-    return shardedReplay<core::LvpUnit>(path, prog, cfg, shards);
-}
-
-core::LvpStats
-shardedStrideReplay(const std::string &path, const isa::Program &prog,
-                    const core::StrideConfig &cfg, unsigned shards)
-{
-    return shardedReplay<core::StrideLvpUnit>(path, prog, cfg, shards);
-}
-
-core::LvpStats
-shardedFcmReplay(const std::string &path, const isa::Program &prog,
-                 const core::FcmConfig &cfg, unsigned shards)
-{
-    return shardedReplay<core::FcmUnit>(path, prog, cfg, shards);
-}
-
-core::LvpStats
-shardedPredictorReplay(const std::string &path,
-                       const isa::Program &prog,
-                       const core::PredictorInfo &info, unsigned shards)
-{
-    return shardedReplay<RegistryUnit>(path, prog, info, shards);
 }
 
 } // namespace lvplib::sim

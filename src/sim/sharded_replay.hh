@@ -4,20 +4,21 @@
  * predictor: the trace's record range [0, N) is cut into
  * ceil(N/shards)-record slices, a serial leader pass drives a scout
  * unit across the file capturing a predictor-state checkpoint
- * (Unit::Snapshot) at every slice boundary, and the slices are then
- * replayed concurrently on shardPool(), each shard restoring its
- * boundary checkpoint first. Per-slice LvpStats are plain event
- * counts, so summing them in slice order reproduces, bit for bit, the
- * stats of one serial pass — the stitched result is byte-identical by
- * construction, and shard_replay_test proves it against the serial
- * replay for every predictor family (including chaos-armed runs: the
+ * (ValuePredictor::snapshotState) at every slice boundary, and the
+ * slices are then replayed concurrently on shardPool(), each shard
+ * restoring its boundary checkpoint first. Per-slice LvpStats are
+ * plain event counts, so summing them in slice order reproduces, bit
+ * for bit, the stats of one serial pass — the stitched result is
+ * byte-identical by construction, and shard_replay_test proves it
+ * against a serial PredictorAnnotator pass for every registered
+ * predictor and LVP configuration (including chaos-armed runs: the
  * snapshot carries the unit's fault-stream position, and windowed
  * readers key read-flip decisions by absolute record number).
  *
  * The leader pass costs one full serial drive, so this engine cannot
  * make a single replay faster than serial — its job is to make
- * checkpointed replay *correct*, letting the run-cache overlap the
- * shard tails of many replays on multi-core hosts. With shards <= 1
+ * checkpointed replay *correct*. RunCache does not use it: its sweeps
+ * shard by predictor group instead. With shards <= 1
  * (or a trace too small to cut) the engine degrades to a plain serial
  * replay and never touches the shard pool.
  *
@@ -33,10 +34,6 @@
 
 #include <string>
 
-#include "core/config.hh"
-#include "core/fcm_unit.hh"
-#include "core/lvp_unit.hh"
-#include "core/stride_unit.hh"
 #include "core/value_predictor.hh"
 #include "isa/program.hh"
 
@@ -44,35 +41,12 @@ namespace lvplib::sim
 {
 
 /**
- * Replay the trace at @p path through a paper LVP unit (LVPT + LCT +
- * CVU) in @p shards time slices; see the file comment. The returned
- * stats are byte-identical to a serial LvpAnnotator replay. Counts
- * the trace's records via addInstructionsProcessed() exactly once.
- */
-core::LvpStats shardedLvpReplay(const std::string &path,
-                                const isa::Program &prog,
-                                const core::LvpConfig &cfg,
-                                unsigned shards);
-
-/** shardedLvpReplay() for the stride predictor. */
-core::LvpStats shardedStrideReplay(const std::string &path,
-                                   const isa::Program &prog,
-                                   const core::StrideConfig &cfg,
-                                   unsigned shards);
-
-/** shardedLvpReplay() for the FCM predictor. */
-core::LvpStats shardedFcmReplay(const std::string &path,
-                                const isa::Program &prog,
-                                const core::FcmConfig &cfg,
-                                unsigned shards);
-
-/**
- * shardedLvpReplay() for any registry predictor, driven through the
- * type-erased ValuePredictor interface. Checkpoints travel as
- * std::any snapshots (snapshotState / restoreState), so every unit in
- * the zoo — including ones the engine has never heard of — shards
- * with the same byte-identity guarantee; the serial reference is a
- * PredictorAnnotator replay.
+ * Replay the trace at @p path through the predictor @p info builds, in
+ * @p shards time slices; see the file comment. Checkpoints travel as
+ * type-erased snapshots (snapshotState / restoreState), so every unit
+ * shards with the same guarantee: the returned stats are
+ * byte-identical to a serial PredictorAnnotator replay. Counts the
+ * trace's records via addInstructionsProcessed() exactly once.
  */
 core::LvpStats shardedPredictorReplay(const std::string &path,
                                       const isa::Program &prog,

@@ -86,6 +86,15 @@ class TraceSink
     virtual void finish() {}
 };
 
+/** A sink that discards every record: the end of a predictor-only
+ *  pipeline. */
+class NullSink : public TraceSink
+{
+  public:
+    void consume(const TraceRecord &) override {}
+    void consumeBatch(std::span<const TraceRecord>) override {}
+};
+
 /** A sink that forwards every record to two downstream sinks. */
 class TeeSink : public TraceSink
 {

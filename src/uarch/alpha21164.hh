@@ -52,6 +52,9 @@ struct InOrderStats
 
     /** L1 misses per instruction, in percent (paper Section 6.1). */
     double missRatePerInst() const;
+
+    /** Field-wise equality (sweep == per-variant run checks). */
+    bool operator==(const InOrderStats &o) const = default;
 };
 
 /** The in-order machine model; consumes an annotated trace. */

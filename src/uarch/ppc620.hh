@@ -72,6 +72,9 @@ struct OooStats
 
     /** Bank-conflict cycles as a percentage of all cycles. */
     double bankConflictPct() const;
+
+    /** Field-wise equality (sweep == per-variant run checks). */
+    bool operator==(const OooStats &o) const = default;
 };
 
 /** The out-of-order machine model; consumes an annotated trace. */

@@ -142,6 +142,8 @@ class Histogram
     /** Forget all samples. */
     void clear();
 
+    bool operator==(const Histogram &o) const = default;
+
   private:
     std::vector<std::uint64_t> counts_;
     std::uint64_t overflow_ = 0;

@@ -24,12 +24,14 @@
 #include "trace/trace_file.hh"
 #include "vm/interpreter.hh"
 #include "workloads/workload.hh"
+#include "sweep_helpers.hh"
 
 namespace lvplib
 {
 namespace
 {
 
+using testutil::lvpOnly;
 using trace::MultiSink;
 using trace::TeeSink;
 using trace::TraceFileReader;
@@ -281,10 +283,10 @@ TEST(BatchReplay, ChaosReadFlipIdenticalUnderBatching)
 
 TEST(BatchReplay, ParallelFanOutSweepsAreRaceFree)
 {
-    // The TSan target: concurrent *Many() sweeps with overlapping
-    // variants share one claim pass, one MultiSink replay, and the
-    // promise-settling machinery. Results must equal the singular
-    // calls however the threads interleave.
+    // The TSan target: concurrent sweeps with overlapping variants
+    // share one claim pass, one MultiSink replay, and the
+    // promise-settling machinery. Results must equal single-variant
+    // sweeps however the threads interleave.
     namespace fs = std::filesystem;
     auto &cache = sim::RunCache::instance();
     const std::string saved = cache.traceDir();
@@ -301,17 +303,21 @@ TEST(BatchReplay, ParallelFanOutSweepsAreRaceFree)
         core::LvpConfig::simple(), core::LvpConfig::limit()};
     const std::vector<core::LvpConfig> sweepB = {
         core::LvpConfig::simple(), core::LvpConfig::constant()};
+    auto lvpSweep = [&](const std::vector<core::LvpConfig> &cfgs) {
+        std::vector<sim::SweepVariant> variants;
+        for (const auto &cfg : cfgs)
+            variants.push_back({core::lvpPredictor(cfg), {}});
+        std::vector<core::LvpStats> out;
+        for (const auto &r :
+             cache.sweep(w, workloads::CodeGen::Ppc, 1, variants, rc))
+            out.push_back(r.lvp);
+        return out;
+    };
 
     std::vector<core::LvpStats> gotA, gotB;
     {
-        std::thread ta([&] {
-            gotA = cache.lvpOnlyMany(w, workloads::CodeGen::Ppc, 1,
-                                     sweepA, rc);
-        });
-        std::thread tb([&] {
-            gotB = cache.lvpOnlyMany(w, workloads::CodeGen::Ppc, 1,
-                                     sweepB, rc);
-        });
+        std::thread ta([&] { gotA = lvpSweep(sweepA); });
+        std::thread tb([&] { gotB = lvpSweep(sweepB); });
         ta.join();
         tb.join();
     }
@@ -326,10 +332,8 @@ TEST(BatchReplay, ParallelFanOutSweepsAreRaceFree)
         EXPECT_EQ(x.constants, y.constants);
     };
     for (std::size_t c = 0; c < 2; ++c) {
-        expectSame(gotA[c], cache.lvpOnly(w, workloads::CodeGen::Ppc, 1,
-                                          sweepA[c], rc));
-        expectSame(gotB[c], cache.lvpOnly(w, workloads::CodeGen::Ppc, 1,
-                                          sweepB[c], rc));
+        expectSame(gotA[c], lvpOnly(cache, w, 1, sweepA[c], rc));
+        expectSame(gotB[c], lvpOnly(cache, w, 1, sweepB[c], rc));
     }
     // Both sweeps agree on the variant they share.
     expectSame(gotA[0], gotB[0]);

@@ -29,6 +29,7 @@
 #include "trace/trace.hh"
 #include "vm/interpreter.hh"
 #include "workloads/workload.hh"
+#include "sweep_helpers.hh"
 
 namespace
 {
@@ -37,6 +38,7 @@ using namespace lvplib;
 using chaos::ChaosConfig;
 using chaos::Point;
 using chaos::pointBit;
+using testutil::lvpOnly;
 
 /** Disarm + zero the global engine around every test in this file. */
 struct ChaosGuard
@@ -198,13 +200,6 @@ TEST(PredictorCorruption, CvuCorruptEvictIsParityDetectedRemoval)
     EXPECT_EQ(c.size(), 0u);
 }
 
-/** Discards every record (fault-free reference runs). */
-class NullSink : public trace::TraceSink
-{
-  public:
-    void consume(const trace::TraceRecord &) override {}
-};
-
 TEST(SpeculationSafety, PredictorFaultsNeverChangeArchitecture)
 {
     ChaosGuard guard;
@@ -214,7 +209,7 @@ TEST(SpeculationSafety, PredictorFaultsNeverChangeArchitecture)
 
     auto run = [&] {
         vm::Interpreter interp(prog);
-        NullSink null;
+        trace::NullSink null;
         core::LvpAnnotator annot(core::LvpConfig::simple(), null);
         interp.run(&annot);
         return std::tuple{interp.memory().imageHash(),
@@ -321,12 +316,12 @@ TEST(RunCacheChaos, ReadFlipFallsBackToInMemoryByteIdentical)
 
     cache.clear();
     cache.setTraceDir(dir.string());
-    auto ref = cache.lvpOnly(w, workloads::CodeGen::Ppc, 1, cfg, rc);
+    auto ref = lvpOnly(cache, w, 1, cfg, rc);
     cache.clear(); // drop memos, keep the trace file
 
     auto &ce = chaos::engine();
     ce.arm({3, pointBit(Point::TraceReadFlip), 64});
-    auto got = cache.lvpOnly(w, workloads::CodeGen::Ppc, 1, cfg, rc);
+    auto got = lvpOnly(cache, w, 1, cfg, rc);
     ce.disarm();
 
     EXPECT_GT(ce.injected(Point::TraceReadFlip), 0u)
@@ -368,8 +363,7 @@ TEST(RunCacheChaos, PersistentWriteFailureDegradesToInMemory)
             1});
     const auto &all = workloads::allWorkloads();
     for (unsigned i = 0; i < 3 && i < all.size(); ++i) {
-        auto got =
-            cache.lvpOnly(all[i], workloads::CodeGen::Ppc, 1, cfg, rc);
+        auto got = lvpOnly(cache, all[i], 1, cfg, rc);
         EXPECT_GT(got.loads, 0u) << "the run itself must succeed";
     }
     ce.disarm();

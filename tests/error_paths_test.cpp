@@ -25,6 +25,7 @@
 #include "trace/trace_file.hh"
 #include "vm/interpreter.hh"
 #include "workloads/workload.hh"
+#include "sweep_helpers.hh"
 
 namespace lvplib
 {
@@ -32,6 +33,7 @@ namespace
 {
 
 using ::testing::ExitedWithCode;
+using testutil::lvpOnly;
 
 TEST(ErrorPaths, UndefinedLabelIsFatal)
 {
@@ -215,7 +217,7 @@ TEST(ErrorPaths, TruncatedTraceMidSuiteFallsBackByteIdentical)
     core::LvpConfig cfg = core::LvpConfig::simple();
     sim::RunConfig rc;
     core::LvpStats ref =
-        cache.lvpOnly(w, workloads::CodeGen::Ppc, 1, cfg, rc);
+        lvpOnly(cache, w, 1, cfg, rc);
     cache.clear(); // drop the memo, keep the trace file
 
     // Truncate the just-written trace as an interrupted writer would.
@@ -229,7 +231,7 @@ TEST(ErrorPaths, TruncatedTraceMidSuiteFallsBackByteIdentical)
     // The damage must be detected up front, the file regenerated, and
     // the run's statistics stay byte-identical to the fault-free run.
     core::LvpStats got =
-        cache.lvpOnly(w, workloads::CodeGen::Ppc, 1, cfg, rc);
+        lvpOnly(cache, w, 1, cfg, rc);
     EXPECT_EQ(got.loads, ref.loads);
     EXPECT_EQ(got.correct, ref.correct);
     EXPECT_EQ(got.incorrect, ref.incorrect);
@@ -258,12 +260,12 @@ TEST(ErrorPaths, UnwritableTraceDirDuringRegenerateFallsBack)
     core::LvpConfig cfg = core::LvpConfig::simple();
     sim::RunConfig rc;
     core::LvpStats got =
-        cache.lvpOnly(w, workloads::CodeGen::Ppc, 1, cfg, rc);
+        lvpOnly(cache, w, 1, cfg, rc);
 
     cache.clear();
     cache.setTraceDir("");
     core::LvpStats ref =
-        cache.lvpOnly(w, workloads::CodeGen::Ppc, 1, cfg, rc);
+        lvpOnly(cache, w, 1, cfg, rc);
     EXPECT_EQ(got.loads, ref.loads);
     EXPECT_EQ(got.correct, ref.correct);
     EXPECT_EQ(got.incorrect, ref.incorrect);
@@ -321,7 +323,7 @@ TEST(ErrorPaths, WatchdogGuardsTraceCacheGeneration)
     tight.recordBudget = 100;
     expectSimError(
         [&] {
-            cache.lvpOnly(w, workloads::CodeGen::Ppc, 1, cfg, tight);
+            lvpOnly(cache, w, 1, cfg, tight);
         },
         ErrorKind::Watchdog, "record budget");
     EXPECT_TRUE(fs::is_empty(dir)) << "partial trace left behind";
@@ -330,7 +332,7 @@ TEST(ErrorPaths, WatchdogGuardsTraceCacheGeneration)
     // succeeds and writes its trace.
     sim::RunConfig rc;
     core::LvpStats got =
-        cache.lvpOnly(w, workloads::CodeGen::Ppc, 1, cfg, rc);
+        lvpOnly(cache, w, 1, cfg, rc);
     EXPECT_GT(got.loads, 0u);
     EXPECT_FALSE(fs::is_empty(dir));
 

@@ -26,6 +26,13 @@ using uarch::Ppc620Config;
 using workloads::CodeGen;
 using workloads::findWorkload;
 
+/** The LVP unit alone over an in-memory run of @p p. */
+core::LvpStats
+lvpOnly(const isa::Program &p, const LvpConfig &cfg)
+{
+    return sim::runPredictorOnly(p, core::lvpPredictor(cfg));
+}
+
 isa::Program
 prog(const std::string &name, CodeGen cg = CodeGen::Ppc,
      unsigned scale = 1)
@@ -165,9 +172,9 @@ TEST(Integration, LctSeparatesPredictableLoads)
 {
     // Table 3's shape: on high-locality benchmarks the LCT identifies
     // most predictable loads and most unpredictable loads.
-    auto eq = sim::runLvpOnly(prog("eqntott"), LvpConfig::simple());
+    auto eq = lvpOnly(prog("eqntott"), LvpConfig::simple());
     EXPECT_GT(eq.predHitRate(), 60.0);
-    auto gp = sim::runLvpOnly(prog("gperf"), LvpConfig::simple());
+    auto gp = lvpOnly(prog("gperf"), LvpConfig::simple());
     EXPECT_GT(gp.unpredHitRate(), 60.0);
     EXPECT_GT(gp.predHitRate(), 30.0);
 }
@@ -176,17 +183,17 @@ TEST(Integration, ConstantConfigFindsConstants)
 {
     // Table 4's shape: constant-identification rates are significant
     // for high-locality codes, near zero for tomcatv.
-    auto hi = sim::runLvpOnly(prog("gperf"), LvpConfig::constant());
+    auto hi = lvpOnly(prog("gperf"), LvpConfig::constant());
     EXPECT_GT(hi.constantRate(), 10.0);
-    auto lo = sim::runLvpOnly(prog("tomcatv"), LvpConfig::constant());
+    auto lo = lvpOnly(prog("tomcatv"), LvpConfig::constant());
     EXPECT_LT(lo.constantRate(), hi.constantRate());
 }
 
 TEST(Integration, LimitPredictsMoreThanSimple)
 {
     for (const char *name : {"eqntott", "xlisp", "cc1"}) {
-        auto simple = sim::runLvpOnly(prog(name), LvpConfig::simple());
-        auto limit = sim::runLvpOnly(prog(name), LvpConfig::limit());
+        auto simple = lvpOnly(prog(name), LvpConfig::simple());
+        auto limit = lvpOnly(prog(name), LvpConfig::limit());
         double s_rate = simple.predictionRate() * simple.accuracy();
         double l_rate = limit.predictionRate() * limit.accuracy();
         EXPECT_GE(l_rate, s_rate * 0.98) << name;

@@ -216,9 +216,32 @@ TEST(LvpUnit, BhrZeroBitsIsANoop)
     }
 }
 
+TEST(LvpUnit, TaggedLvptTagMissNeverReachesTheCvu)
+{
+    // A tagged, history-indexed LVPT: 16 entries, so branch-history
+    // bit 4 changes the lookup key's tag but not its index.
+    LvpConfig cfg = tinyConfig();
+    cfg.lvptEntries = 16;
+    cfg.taggedLvpt = true;
+    cfg.bhrBits = 8;
+    LvpUnit u(cfg);
+    // History 0: train the load to Constant and verify it in the CVU.
+    for (int i = 0; i < 5; ++i)
+        u.onLoad(Pc0, DataA, 7, 8);
+    ASSERT_EQ(u.onLoad(Pc0, DataA, 7, 8), PredState::Constant);
+    // History 0x10: same LVPT index, another tag, so the lookup
+    // misses. The CVU entry was verified for the previous owner and
+    // must not vouch for this load.
+    u.onBranch(true);
+    for (int i = 0; i < 4; ++i)
+        u.onBranch(false);
+    EXPECT_NE(u.onLoad(Pc0, DataA, 7, 8), PredState::Constant);
+    EXPECT_EQ(u.stats().cvuStaleHits, 0u);
+}
+
 /**
- * Property: under ANY interleaving of loads and stores, a load
- * reported as Constant always matches the current memory value
+ * Property: under ANY interleaving of loads, stores, and branches, a
+ * load reported as Constant always matches the current memory value
  * (stats().cvuStaleHits stays 0). Parameterized over RNG seeds.
  */
 class CvuCoherenceProperty : public ::testing::TestWithParam<int>
@@ -227,38 +250,51 @@ class CvuCoherenceProperty : public ::testing::TestWithParam<int>
 
 TEST_P(CvuCoherenceProperty, ConstantLoadsNeverStale)
 {
-    Rng rng(static_cast<std::uint64_t>(GetParam()) * 977 + 13);
-    LvpConfig cfg = tinyConfig();
     // Small tables maximize aliasing stress.
-    cfg.lvptEntries = 16;
-    cfg.lctEntries = 8;
-    cfg.cvuEntries = 4;
-    LvpUnit u(cfg);
+    LvpConfig plain = tinyConfig();
+    plain.lvptEntries = 16;
+    plain.lctEntries = 8;
+    plain.cvuEntries = 4;
+    // A tagged LVPT indexed with 8 bits of branch history: a tag miss
+    // hands an entry to a new owner while the CVU may still hold an
+    // entry verified for the old one.
+    LvpConfig taggedHistory = plain;
+    taggedHistory.name = "tiny-tagged-bhr";
+    taggedHistory.taggedLvpt = true;
+    taggedHistory.bhrBits = 8;
 
-    std::unordered_map<Addr, Word> memory;
-    constexpr int NumAddrs = 12;
-    constexpr int NumPcs = 24;
-    for (int i = 0; i < 6000; ++i) {
-        Addr addr = DataA + rng.below(NumAddrs) * 8;
-        if (rng.chance(1, 4)) {
-            // Store: sometimes the same value (silent store),
-            // sometimes new.
-            Word v = rng.chance(1, 2) ? memory[addr] : rng.below(5);
-            memory[addr] = v;
-            u.onStore(addr, 8);
-        } else {
-            Addr pc = Pc0 + rng.below(NumPcs) * 4;
-            Word actual = memory[addr];
-            auto s = u.onLoad(pc, addr, actual, 8);
-            if (s == PredState::Constant) {
-                // The unit itself cross-checks; stats must agree.
-                ASSERT_EQ(u.stats().cvuStaleHits, 0u)
-                    << "constant verified against a stale value at "
-                    << "iteration " << i;
+    for (const LvpConfig &cfg : {plain, taggedHistory}) {
+        Rng rng(static_cast<std::uint64_t>(GetParam()) * 977 + 13);
+        LvpUnit u(cfg);
+        std::unordered_map<Addr, Word> memory;
+        constexpr int NumAddrs = 12;
+        constexpr int NumPcs = 24;
+        for (int i = 0; i < 6000; ++i) {
+            Addr addr = DataA + rng.below(NumAddrs) * 8;
+            if (rng.chance(1, 4)) {
+                // Store: sometimes the same value (silent store),
+                // sometimes new.
+                Word v = rng.chance(1, 2) ? memory[addr] : rng.below(5);
+                memory[addr] = v;
+                u.onStore(addr, 8);
+            } else if (rng.chance(1, 32)) {
+                // Mostly-taken branches: long runs in one history
+                // context, broken now and then by a switch.
+                u.onBranch(!rng.chance(1, 16));
+            } else {
+                Addr pc = Pc0 + rng.below(NumPcs) * 4;
+                Word actual = memory[addr];
+                auto s = u.onLoad(pc, addr, actual, 8);
+                if (s == PredState::Constant) {
+                    // The unit itself cross-checks; stats must agree.
+                    ASSERT_EQ(u.stats().cvuStaleHits, 0u)
+                        << cfg.name << ": constant verified against a "
+                        << "stale value at iteration " << i;
+                }
             }
         }
+        EXPECT_EQ(u.stats().cvuStaleHits, 0u) << cfg.name;
     }
-    EXPECT_EQ(u.stats().cvuStaleHits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CvuCoherenceProperty,

@@ -27,12 +27,14 @@
 #include "trace/trace_file.hh"
 #include "util/env.hh"
 #include "workloads/workload.hh"
+#include "sweep_helpers.hh"
 
 namespace
 {
 
 using namespace lvplib;
 using sim::RunCache;
+using testutil::lvpOnly;
 using sim::TaskPool;
 
 sim::ExperimentOptions
@@ -294,8 +296,7 @@ TEST(RunCacheTest, TraceReplayMatchesDirectInterpretation)
     auto &cache = RunCache::instance();
     cache.clear();
     cache.setTraceDir("");
-    auto direct = cache.lvpOnly(w, workloads::CodeGen::Ppc, opts.scale,
-                                cfg, rc);
+    auto direct = lvpOnly(cache, w, opts.scale, cfg, rc);
 
     fs::path dir =
         fs::temp_directory_path() /
@@ -303,8 +304,7 @@ TEST(RunCacheTest, TraceReplayMatchesDirectInterpretation)
     fs::create_directories(dir);
     cache.clear();
     cache.setTraceDir(dir.string());
-    auto replayed = cache.lvpOnly(w, workloads::CodeGen::Ppc,
-                                  opts.scale, cfg, rc);
+    auto replayed = lvpOnly(cache, w, opts.scale, cfg, rc);
     auto stats = cache.stats();
     cache.setTraceDir("");
     cache.clear();
@@ -378,14 +378,12 @@ TEST(RunCacheTest, CorruptTraceIsRegeneratedNotReplayed)
     // Ground truth: pure in-memory run.
     cache.clear();
     cache.setTraceDir("");
-    auto direct = cache.lvpOnly(w, workloads::CodeGen::Ppc,
-                                opts.scale, cfg, rc);
+    auto direct = lvpOnly(cache, w, opts.scale, cfg, rc);
 
     TempTraceDir tmp("corrupt-trace");
     cache.clear();
     cache.setTraceDir(tmp.dir.string());
-    auto cold = cache.lvpOnly(w, workloads::CodeGen::Ppc, opts.scale,
-                              cfg, rc);
+    auto cold = lvpOnly(cache, w, opts.scale, cfg, rc);
     EXPECT_EQ(cache.stats().traceWrites, 1u);
     EXPECT_EQ(cache.stats().traceInvalid, 0u);
 
@@ -393,8 +391,7 @@ TEST(RunCacheTest, CorruptTraceIsRegeneratedNotReplayed)
     flipByteAt(tmp.onlyTrace(),
                static_cast<long>(trace::TraceHeaderBytes) + 16);
     cache.clear();
-    auto recovered = cache.lvpOnly(w, workloads::CodeGen::Ppc,
-                                   opts.scale, cfg, rc);
+    auto recovered = lvpOnly(cache, w, opts.scale, cfg, rc);
     auto stats = cache.stats();
     EXPECT_EQ(stats.traceInvalid, 1u)
         << "corruption must be detected and counted";
@@ -403,8 +400,7 @@ TEST(RunCacheTest, CorruptTraceIsRegeneratedNotReplayed)
     // The regenerated file is valid again and results identical.
     EXPECT_TRUE(trace::verifyTraceFile(tmp.onlyTrace().string()).ok());
     cache.clear();
-    auto warm = cache.lvpOnly(w, workloads::CodeGen::Ppc, opts.scale,
-                              cfg, rc);
+    auto warm = lvpOnly(cache, w, opts.scale, cfg, rc);
     EXPECT_EQ(cache.stats().traceInvalid, 0u);
     for (const auto &r : {cold, recovered, warm}) {
         EXPECT_EQ(direct.loads, r.loads);
@@ -427,13 +423,13 @@ TEST(RunCacheTest, StaleFingerprintAndLegacyFilesRegenerate)
     TempTraceDir tmp("stale-trace");
     cache.clear();
     cache.setTraceDir(tmp.dir.string());
-    cache.lvpOnly(w, workloads::CodeGen::Ppc, opts.scale, cfg, rc);
+    lvpOnly(cache, w, opts.scale, cfg, rc);
     auto path = tmp.onlyTrace();
 
     // Flip a fingerprint byte: same payload, "different" program.
     flipByteAt(path, 16);
     cache.clear();
-    cache.lvpOnly(w, workloads::CodeGen::Ppc, opts.scale, cfg, rc);
+    lvpOnly(cache, w, opts.scale, cfg, rc);
     EXPECT_EQ(cache.stats().traceInvalid, 1u);
 
     // Overwrite with a v1-era headerless record stream.
@@ -445,15 +441,13 @@ TEST(RunCacheTest, StaleFingerprintAndLegacyFilesRegenerate)
         ASSERT_EQ(std::fclose(f), 0);
     }
     cache.clear();
-    auto out = cache.lvpOnly(w, workloads::CodeGen::Ppc, opts.scale,
-                             cfg, rc);
+    auto out = lvpOnly(cache, w, opts.scale, cfg, rc);
     EXPECT_EQ(cache.stats().traceInvalid, 1u);
     EXPECT_TRUE(trace::verifyTraceFile(path.string()).ok());
 
     cache.setTraceDir("");
     cache.clear();
-    auto direct = cache.lvpOnly(w, workloads::CodeGen::Ppc,
-                                opts.scale, cfg, rc);
+    auto direct = lvpOnly(cache, w, opts.scale, cfg, rc);
     EXPECT_EQ(direct.correct, out.correct);
     cache.clear();
 }
@@ -481,7 +475,7 @@ TEST(RunCacheTest, UnknownVersionCountsAsFormatUpgradeNotCorruption)
     TempTraceDir tmp("version-trace");
     cache.clear();
     cache.setTraceDir(tmp.dir.string());
-    cache.lvpOnly(w, workloads::CodeGen::Ppc, opts.scale, cfg, rc);
+    lvpOnly(cache, w, opts.scale, cfg, rc);
     auto path = tmp.onlyTrace();
 
     // Stamp a future format version into the header: the file is not
@@ -491,7 +485,7 @@ TEST(RunCacheTest, UnknownVersionCountsAsFormatUpgradeNotCorruption)
     EXPECT_EQ(trace::verifyTraceFile(path.string()).status,
               trace::TraceFileStatus::BadVersion);
     cache.clear();
-    cache.lvpOnly(w, workloads::CodeGen::Ppc, opts.scale, cfg, rc);
+    lvpOnly(cache, w, opts.scale, cfg, rc);
     auto stats = cache.stats();
     EXPECT_EQ(stats.traceFormatUpgrade, 1u);
     EXPECT_EQ(stats.traceInvalid, 0u)
@@ -517,8 +511,7 @@ TEST(RunCacheTest, LegacyV2TraceReplaysWithoutRegeneration)
     TempTraceDir tmp("v2-compat-trace");
     cache.clear();
     cache.setTraceDir(tmp.dir.string());
-    auto cold = cache.lvpOnly(w, workloads::CodeGen::Ppc, opts.scale,
-                              cfg, rc);
+    auto cold = lvpOnly(cache, w, opts.scale, cfg, rc);
     auto path = tmp.onlyTrace();
 
     // Transcode the cached v3 file to v2 in place, keeping the
@@ -544,8 +537,7 @@ TEST(RunCacheTest, LegacyV2TraceReplaysWithoutRegeneration)
               trace::TraceFormatVersionV2);
 
     cache.clear();
-    auto warm = cache.lvpOnly(w, workloads::CodeGen::Ppc, opts.scale,
-                              cfg, rc);
+    auto warm = lvpOnly(cache, w, opts.scale, cfg, rc);
     auto stats = cache.stats();
     EXPECT_EQ(stats.traceReplays, 1u);
     EXPECT_EQ(stats.traceWrites, 0u) << "v2 replays without rewrite";
@@ -569,21 +561,19 @@ TEST(RunCacheTest, TruncatedAndFlippedCompressedBlocksRegenerate)
 
     cache.clear();
     cache.setTraceDir("");
-    auto direct = cache.lvpOnly(w, workloads::CodeGen::Ppc,
-                                opts.scale, cfg, rc);
+    auto direct = lvpOnly(cache, w, opts.scale, cfg, rc);
 
     TempTraceDir tmp("block-damage-trace");
     cache.clear();
     cache.setTraceDir(tmp.dir.string());
-    cache.lvpOnly(w, workloads::CodeGen::Ppc, opts.scale, cfg, rc);
+    lvpOnly(cache, w, opts.scale, cfg, rc);
     auto path = tmp.onlyTrace();
 
     // Damage 1: chop the file mid-block (footer and index gone).
     auto size = std::filesystem::file_size(path);
     std::filesystem::resize_file(path, size * 3 / 5);
     cache.clear();
-    auto afterTrunc = cache.lvpOnly(w, workloads::CodeGen::Ppc,
-                                    opts.scale, cfg, rc);
+    auto afterTrunc = lvpOnly(cache, w, opts.scale, cfg, rc);
     EXPECT_EQ(cache.stats().traceInvalid, 1u);
     EXPECT_EQ(cache.stats().traceWrites, 1u);
     EXPECT_TRUE(trace::verifyTraceFile(path.string()).ok());
@@ -592,8 +582,7 @@ TEST(RunCacheTest, TruncatedAndFlippedCompressedBlocksRegenerate)
     // (caught by that block's checksum, not the footer).
     flipByteAt(path, static_cast<long>(size / 2));
     cache.clear();
-    auto afterFlip = cache.lvpOnly(w, workloads::CodeGen::Ppc,
-                                   opts.scale, cfg, rc);
+    auto afterFlip = lvpOnly(cache, w, opts.scale, cfg, rc);
     EXPECT_EQ(cache.stats().traceInvalid, 1u);
     EXPECT_EQ(cache.stats().traceWrites, 1u);
     EXPECT_TRUE(trace::verifyTraceFile(path.string()).ok());
@@ -621,17 +610,15 @@ TEST(RunCacheTest, WriteFailureFallsBackAndIsNotMemoized)
     std::filesystem::path missing = tmp.dir / "not-yet";
     cache.clear();
     cache.setTraceDir(missing.string());
-    auto fallback = cache.lvpOnly(w, workloads::CodeGen::Ppc,
-                                  opts.scale,
-                                  core::LvpConfig::simple(), rc);
+    auto fallback =
+        lvpOnly(cache, w, opts.scale, core::LvpConfig::simple(), rc);
     EXPECT_EQ(cache.stats().traceWrites, 0u);
     EXPECT_GT(fallback.loads, 0u);
 
     // The failure must not be memoized: once the directory exists, a
     // different run against the same trace key writes the trace.
     std::filesystem::create_directories(missing);
-    cache.lvpOnly(w, workloads::CodeGen::Ppc, opts.scale,
-                  core::LvpConfig::limit(), rc);
+    lvpOnly(cache, w, opts.scale, core::LvpConfig::limit(), rc);
     EXPECT_EQ(cache.stats().traceWrites, 1u)
         << "a transient write failure must be retried";
 

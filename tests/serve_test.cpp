@@ -7,9 +7,9 @@
  * over injected socket faults.
  *
  * The load-bearing assertion everywhere: a session's final LvpStats
- * must equal RunCache::predictorOnly for the same (workload, codegen,
- * scale, config, predictor) — field for field, which is byte for byte
- * on the wire. "The server agrees with lvpload" means "the server
+ * must equal a predictor-only RunCache::sweep for the same (workload,
+ * codegen, scale, config, predictor) — field for field, which is byte
+ * for byte on the wire. "The server agrees with lvpload" means "the server
  * agrees with the paper pipeline".
  */
 
@@ -78,9 +78,11 @@ stream(const char *workload)
 core::LvpStats
 offline(const char *workload, const core::PredictorInfo &info)
 {
-    return sim::RunCache::instance().predictorOnly(
-        workloads::findWorkload(workload), Cg, 1, info,
-        sim::RunConfig{});
+    return sim::RunCache::instance()
+        .sweep(workloads::findWorkload(workload), Cg, 1, {{info, {}}},
+               sim::RunConfig{})
+        .front()
+        .lvp;
 }
 
 /** Stream @p s into an open session in @p chunkRecords-sized chunks. */

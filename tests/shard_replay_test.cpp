@@ -3,12 +3,13 @@
  * Byte-identity proof for sharded intra-experiment replay: the
  * time-slice checkpoint engine (sim/sharded_replay.hh) must stitch
  * per-shard predictor statistics back into EXACTLY the stats one
- * serial annotator pass produces — for every predictor family (paper
- * LVP unit in all its presets and the BHR extension, stride, FCM),
- * for any shard count, and with chaos predictor faults armed (the
- * snapshot carries the unit's fault-stream position). Also covers the
+ * serial PredictorAnnotator pass produces — for every predictor family
+ * (paper LVP unit in all its presets and the BHR extension, stride,
+ * FCM, and the rest of the registry), for any shard count, and with
+ * chaos predictor faults armed (the snapshot carries the unit's
+ * fault-stream position). Also covers the
  * windowed TraceFileReader the shards are built on and the RunCache
- * wiring (group-sharded *Many sweeps and the sharded singular path).
+ * wiring (group-sharded sweeps).
  */
 
 #include <gtest/gtest.h>
@@ -19,10 +20,7 @@
 #include <vector>
 
 #include "chaos/chaos.hh"
-#include "core/config.hh"
-#include "core/fcm_unit.hh"
 #include "core/lvp_unit.hh"
-#include "core/stride_unit.hh"
 #include "core/value_predictor.hh"
 #include "sim/parallel.hh"
 #include "sim/run_cache.hh"
@@ -70,59 +68,17 @@ writeTrace(const std::string &path, const isa::Program &prog,
     return writer.recordsWritten();
 }
 
-class NullSink : public TraceSink
-{
-  public:
-    void consume(const TraceRecord &) override {}
-};
-
-/** Serial reference: one LvpAnnotator pass over the whole file. */
+/** Serial reference for any predictor: one PredictorAnnotator pass
+ *  over the whole file. */
 core::LvpStats
-serialLvp(const std::string &path, const isa::Program &prog,
-          const core::LvpConfig &cfg)
+serialPredictor(const std::string &path, const isa::Program &prog,
+                const core::PredictorInfo &info)
 {
-    NullSink null_sink;
-    core::LvpAnnotator annot(cfg, null_sink);
+    trace::NullSink null_sink;
+    core::PredictorAnnotator annot(info, null_sink);
     TraceFileReader reader(path, prog);
     reader.replay(annot);
     return annot.unit().stats();
-}
-
-core::LvpStats
-serialStride(const std::string &path, const isa::Program &prog,
-             const core::StrideConfig &cfg)
-{
-    NullSink null_sink;
-    core::StrideAnnotator annot(cfg, null_sink);
-    TraceFileReader reader(path, prog);
-    reader.replay(annot);
-    return annot.unit().stats();
-}
-
-core::LvpStats
-serialFcm(const std::string &path, const isa::Program &prog,
-          const core::FcmConfig &cfg)
-{
-    /** Mirrors runFcmOnly's sink: loads and stores into the unit. */
-    class FcmSink : public TraceSink
-    {
-      public:
-        explicit FcmSink(const core::FcmConfig &c) : unit(c) {}
-        void
-        consume(const TraceRecord &rec) override
-        {
-            const auto &inst = *rec.inst;
-            if (inst.load())
-                unit.onLoad(rec.pc, rec.effAddr, rec.value,
-                            inst.accessSize());
-            else if (inst.store())
-                unit.onStore(rec.effAddr, inst.accessSize());
-        }
-        core::FcmUnit unit;
-    } sink(cfg);
-    TraceFileReader reader(path, prog);
-    reader.replay(sink);
-    return sink.unit.stats();
 }
 
 /** Every field — byte identity, not just the headline counters. */
@@ -247,26 +203,26 @@ TEST(ShardReplay, TinyBlockShardingMatchesSerialAtEveryCount)
     opts.blockRecords = 64;
     ASSERT_EQ(writeTrace(tmp.path, prog, 10000, opts), 10000u);
 
-    const auto cfg = core::LvpConfig::simple();
-    core::LvpStats serial = serialLvp(tmp.path, prog, cfg);
+    const auto lvp = core::lvpPredictor(core::LvpConfig::simple());
+    core::LvpStats serial = serialPredictor(tmp.path, prog, lvp);
     for (unsigned shards : {1u, 2u, 3u, 7u, 16u, 64u}) {
         expectSameStats(
-            serial, sim::shardedLvpReplay(tmp.path, prog, cfg, shards),
+            serial, sim::shardedPredictorReplay(tmp.path, prog, lvp, shards),
             "tiny-block lvp shards=" + std::to_string(shards));
     }
 
-    const auto scfg = core::StrideConfig::simple();
-    core::LvpStats sSerial = serialStride(tmp.path, prog, scfg);
-    const auto fcfg = core::FcmConfig::simple();
-    core::LvpStats fSerial = serialFcm(tmp.path, prog, fcfg);
+    const auto &stride = *core::findPredictor("stride");
+    core::LvpStats sSerial = serialPredictor(tmp.path, prog, stride);
+    const auto &fcm = *core::findPredictor("fcm");
+    core::LvpStats fSerial = serialPredictor(tmp.path, prog, fcm);
     for (unsigned shards : {2u, 5u, 32u}) {
         expectSameStats(
             sSerial,
-            sim::shardedStrideReplay(tmp.path, prog, scfg, shards),
+            sim::shardedPredictorReplay(tmp.path, prog, stride, shards),
             "tiny-block stride shards=" + std::to_string(shards));
         expectSameStats(
             fSerial,
-            sim::shardedFcmReplay(tmp.path, prog, fcfg, shards),
+            sim::shardedPredictorReplay(tmp.path, prog, fcm, shards),
             "tiny-block fcm shards=" + std::to_string(shards));
     }
 }
@@ -305,10 +261,11 @@ TEST(ShardReplay, LvpShardingMatchesSerialAcrossConfigsAndCounts)
     const unsigned shardCounts[] = {1, 2, 3, 7, 16, 64};
 
     for (const auto &cfg : cfgs) {
-        core::LvpStats serial = serialLvp(tmp.path, prog, cfg);
+        const auto info = core::lvpPredictor(cfg);
+        core::LvpStats serial = serialPredictor(tmp.path, prog, info);
         for (unsigned shards : shardCounts) {
             core::LvpStats sharded =
-                sim::shardedLvpReplay(tmp.path, prog, cfg, shards);
+                sim::shardedPredictorReplay(tmp.path, prog, info, shards);
             expectSameStats(serial, sharded,
                             cfg.name + " shards=" +
                                 std::to_string(shards));
@@ -322,38 +279,26 @@ TEST(ShardReplay, StrideAndFcmShardingMatchSerial)
     auto prog = demoProgram();
     ASSERT_EQ(writeTrace(tmp.path, prog, 10000), 10000u);
 
-    const auto scfg = core::StrideConfig::simple();
-    core::LvpStats sSerial = serialStride(tmp.path, prog, scfg);
-    const auto fcfg = core::FcmConfig::simple();
-    core::LvpStats fSerial = serialFcm(tmp.path, prog, fcfg);
+    const auto &stride = *core::findPredictor("stride");
+    core::LvpStats sSerial = serialPredictor(tmp.path, prog, stride);
+    const auto &fcm = *core::findPredictor("fcm");
+    core::LvpStats fSerial = serialPredictor(tmp.path, prog, fcm);
     for (unsigned shards : {2u, 5u, 32u}) {
         expectSameStats(
             sSerial,
-            sim::shardedStrideReplay(tmp.path, prog, scfg, shards),
+            sim::shardedPredictorReplay(tmp.path, prog, stride, shards),
             "stride shards=" + std::to_string(shards));
         expectSameStats(
-            fSerial, sim::shardedFcmReplay(tmp.path, prog, fcfg, shards),
+            fSerial,
+            sim::shardedPredictorReplay(tmp.path, prog, fcm, shards),
             "fcm shards=" + std::to_string(shards));
     }
-}
-
-/** Serial reference for any registry predictor: one
- *  PredictorAnnotator pass over the whole file. */
-core::LvpStats
-serialPredictor(const std::string &path, const isa::Program &prog,
-                const core::PredictorInfo &info)
-{
-    NullSink null_sink;
-    core::PredictorAnnotator annot(info, null_sink);
-    TraceFileReader reader(path, prog);
-    reader.replay(annot);
-    return annot.unit().stats();
 }
 
 TEST(ShardReplay, EveryRegistryPredictorShardsMatchSerial)
 {
     // The championship's correctness bedrock: the type-erased
-    // snapshot path (shardedPredictorReplay over RegistryUnit) must be
+    // snapshot path (shardedPredictorReplay) must be
     // byte-identical to a serial pass for EVERY registered predictor —
     // including the history-indexed VTAGE, whose snapshot carries the
     // global branch history and the mispredict-throttle position, and
@@ -399,11 +344,32 @@ TEST(ShardReplay, LvpStatsMergeSumsEveryField)
                                    << " not summed by operator+=";
 }
 
+/** Each variant's LvpStats from one RunCache sweep over grep. */
+std::vector<core::LvpStats>
+sweepStats(const std::vector<sim::SweepVariant> &variants)
+{
+    std::vector<core::LvpStats> out;
+    for (const auto &r : sim::RunCache::instance().sweep(
+             workloads::findWorkload("grep"), workloads::CodeGen::Ppc, 1,
+             variants, sim::RunConfig{}))
+        out.push_back(r.lvp);
+    return out;
+}
+
+/** A sweep of @p variants from a cleared memo, with shards forced to
+ *  @p shards: the group-sharded run-cache path at shards > 1. */
+std::vector<core::LvpStats>
+sweepAt(const std::vector<sim::SweepVariant> &variants, unsigned shards)
+{
+    sim::setShardJobs(shards);
+    sim::RunCache::instance().clear();
+    return sweepStats(variants);
+}
+
 TEST(ShardReplay, RunCachePredictorPathsMatchSerialResults)
 {
-    // The championship's run-cache entry points: the group-sharded
-    // predictorOnlyMany sweep and the checkpoint-sharded singular
-    // predictorOnly must agree with their serial (shards=1) selves.
+    // The championship's run-cache path: a group-sharded sweep over
+    // the whole registry must agree with its serial (shards=1) self.
     namespace fs = std::filesystem;
     auto &cache = sim::RunCache::instance();
     const std::string savedDir = cache.traceDir();
@@ -411,34 +377,19 @@ TEST(ShardReplay, RunCachePredictorPathsMatchSerialResults)
         fs::path(::testing::TempDir()) / "lvplib_shard_predcache";
     fs::remove_all(dir);
     fs::create_directories(dir);
-
-    const auto &w = workloads::findWorkload("grep");
-    sim::RunConfig rc;
-    std::vector<const core::PredictorInfo *> preds;
-    for (const auto &info : core::predictorRegistry())
-        preds.push_back(&info);
-    const core::PredictorInfo &vtage = *core::findPredictor("vtage");
-
-    sim::setShardJobs(1);
-    cache.clear();
     cache.setTraceDir(dir.string());
-    std::vector<core::LvpStats> serial =
-        cache.predictorOnlyMany(w, workloads::CodeGen::Ppc, 1, preds, rc);
-    core::LvpStats serialOne =
-        cache.predictorOnly(w, workloads::CodeGen::Ppc, 1, vtage, rc);
 
-    sim::setShardJobs(3);
-    cache.clear();
-    std::vector<core::LvpStats> sharded =
-        cache.predictorOnlyMany(w, workloads::CodeGen::Ppc, 1, preds, rc);
-    core::LvpStats shardedOne =
-        cache.predictorOnly(w, workloads::CodeGen::Ppc, 1, vtage, rc);
+    std::vector<sim::SweepVariant> preds;
+    for (const auto &info : core::predictorRegistry())
+        preds.push_back({info, {}});
+
+    auto serial = sweepAt(preds, 1);
+    auto sharded = sweepAt(preds, 3);
 
     ASSERT_EQ(serial.size(), sharded.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
         expectSameStats(serial[i], sharded[i],
-                        "predictor sweep " + preds[i]->name);
-    expectSameStats(serialOne, shardedOne, "singular predictorOnly");
+                        "predictor sweep " + preds[i].predictor->name);
 
     sim::setShardJobs(0);
     cache.clear();
@@ -458,13 +409,13 @@ TEST(ShardReplay, ChaosArmedShardingMatchesSerial)
     // mask arms ONLY predictor points: TaskThrow would kill shard
     // tasks and TraceReadFlip is exercised by batch_replay_test.
     auto &ce = chaos::engine();
-    const auto cfg = core::LvpConfig::simple();
+    const auto lvp = core::lvpPredictor(core::LvpConfig::simple());
     ce.arm({99, chaos::PredictorPoints, 512});
     core::LvpStats serial;
     core::LvpStats sharded;
     try {
-        serial = serialLvp(tmp.path, prog, cfg);
-        sharded = sim::shardedLvpReplay(tmp.path, prog, cfg, 5);
+        serial = serialPredictor(tmp.path, prog, lvp);
+        sharded = sim::shardedPredictorReplay(tmp.path, prog, lvp, 5);
     } catch (...) {
         ce.disarm();
         throw;
@@ -484,36 +435,21 @@ TEST(ShardReplay, RunCacheShardedPathsMatchSerialResults)
         fs::path(::testing::TempDir()) / "lvplib_shard_runcache";
     fs::remove_all(dir);
     fs::create_directories(dir);
-
-    const auto &w = workloads::findWorkload("grep");
-    sim::RunConfig rc;
-    const std::vector<core::LvpConfig> sweep = {
-        core::LvpConfig::simple(), core::LvpConfig::constant(),
-        core::LvpConfig::limit()};
-
-    // Serial reference: shards forced to 1.
-    sim::setShardJobs(1);
-    cache.clear();
     cache.setTraceDir(dir.string());
-    std::vector<core::LvpStats> serial =
-        cache.lvpOnlyMany(w, workloads::CodeGen::Ppc, 1, sweep, rc);
-    core::LvpStats serialOne = cache.lvpOnly(
-        w, workloads::CodeGen::Ppc, 1, core::LvpConfig::simple(), rc);
 
-    // Sharded: group-sharded sweep + checkpoint-sharded singular,
-    // recomputed from scratch (cache cleared, trace regenerated).
-    sim::setShardJobs(3);
-    cache.clear();
-    std::vector<core::LvpStats> sharded =
-        cache.lvpOnlyMany(w, workloads::CodeGen::Ppc, 1, sweep, rc);
-    core::LvpStats shardedOne = cache.lvpOnly(
-        w, workloads::CodeGen::Ppc, 1, core::LvpConfig::simple(), rc);
+    std::vector<sim::SweepVariant> sweep;
+    for (const auto &cfg :
+         {core::LvpConfig::simple(), core::LvpConfig::constant(),
+          core::LvpConfig::limit()})
+        sweep.push_back({core::lvpPredictor(cfg), {}});
+
+    auto serial = sweepAt(sweep, 1);
+    auto sharded = sweepAt(sweep, 3);
 
     ASSERT_EQ(serial.size(), sharded.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
         expectSameStats(serial[i], sharded[i],
                         "sweep variant " + std::to_string(i));
-    expectSameStats(serialOne, shardedOne, "singular lvpOnly");
 
     sim::setShardJobs(0);
     cache.clear();

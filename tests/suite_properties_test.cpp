@@ -30,6 +30,13 @@ class SuiteProperty : public ::testing::TestWithParam<std::string>
 {
 };
 
+/** The LVP unit alone over an in-memory run of @p p. */
+core::LvpStats
+lvpOnly(const isa::Program &p, const LvpConfig &cfg)
+{
+    return sim::runPredictorOnly(p, core::lvpPredictor(cfg));
+}
+
 TEST_P(SuiteProperty, TimingModelsConserveInstructions)
 {
     const auto &w = workloads::findWorkload(GetParam());
@@ -80,8 +87,8 @@ TEST_P(SuiteProperty, LimitPredictsAtLeastAsWellAsSimple)
 {
     const auto &w = workloads::findWorkload(GetParam());
     auto prog = w.build(CodeGen::Ppc, 1);
-    auto simple = sim::runLvpOnly(prog, LvpConfig::simple());
-    auto limit = sim::runLvpOnly(prog, LvpConfig::limit());
+    auto simple = lvpOnly(prog, LvpConfig::simple());
+    auto limit = lvpOnly(prog, LvpConfig::limit());
     double s_good =
         static_cast<double>(simple.correct + simple.constants);
     double l_good =
