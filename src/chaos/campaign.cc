@@ -69,22 +69,6 @@ archEqual(const ArchSnapshot &a, const ArchSnapshot &b)
            a.retired == b.retired && a.pages == b.pages;
 }
 
-bool
-lvpStatsEqual(const core::LvpStats &a, const core::LvpStats &b)
-{
-    return a.loads == b.loads && a.noPred == b.noPred &&
-           a.incorrect == b.incorrect && a.correct == b.correct &&
-           a.constants == b.constants &&
-           a.actualUnpred == b.actualUnpred &&
-           a.actualPred == b.actualPred &&
-           a.unpredIdentified == b.unpredIdentified &&
-           a.predIdentified == b.predIdentified &&
-           a.cvuInsertions == b.cvuInsertions &&
-           a.cvuStoreInvalidations == b.cvuStoreInvalidations &&
-           a.cvuDisplaceInvalidations == b.cvuDisplaceInvalidations &&
-           a.cvuStaleHits == b.cvuStaleHits;
-}
-
 } // namespace
 
 int
@@ -194,7 +178,7 @@ runChaosCampaign(const CampaignOptions &opts, std::ostream &out)
                 cache.sweep(all[i], CodeGen::Ppc, opts.scale, lvpOnly, rc)
                     .front()
                     .lvp;
-            bool ok = lvpStatsEqual(got, refs[i].lvp);
+            bool ok = got == refs[i].lvp;
             if (!ok)
                 ++violations;
             out << "read-flip  " << all[i].name << "  "
@@ -227,7 +211,7 @@ runChaosCampaign(const CampaignOptions &opts, std::ostream &out)
                 cache.sweep(all[i], CodeGen::Ppc, opts.scale, lvpOnly, rc)
                     .front()
                     .lvp;
-            bool ok = lvpStatsEqual(got, refs[i].lvp);
+            bool ok = got == refs[i].lvp;
             if (!ok)
                 ++violations;
             out << "write-fail  " << all[i].name << "  "

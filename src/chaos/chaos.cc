@@ -48,11 +48,6 @@ pointName(Point p)
       case Point::LvptValue: return "lvpt_value";
       case Point::LctCounter: return "lct_counter";
       case Point::CvuEntry: return "cvu_entry";
-      case Point::ServeFrame: return "serve_frame";
-      case Point::ServeTornWrite: return "serve_torn_write";
-      case Point::ServeConnReset: return "serve_conn_reset";
-      case Point::ServeStall: return "serve_stall";
-      case Point::ServeWorkerKill: return "serve_worker_kill";
       case Point::NumPoints: break;
     }
     return "?";

@@ -55,12 +55,6 @@ enum class Point : unsigned
     LvptValue,        ///< predictor: XOR one bit into an LVPT MRU value
     LctCounter,       ///< predictor: flip the low bit of an LCT counter
     CvuEntry,         ///< predictor: parity-detected CVU entry eviction
-    ServeFrame,       ///< lvp-serve: one socket frame read/write fails
-    ServeTornWrite,   ///< lvp-serve: a frame write stops mid-payload
-    ServeConnReset,   ///< lvp-serve: the connection is reset mid-frame
-    ServeStall,       ///< lvp-serve client: stop sending past the
-                      ///< server's idle deadline (slow-peer eviction)
-    ServeWorkerKill,  ///< lvp-serve: a supervised worker process dies
     NumPoints,
 };
 
@@ -84,21 +78,6 @@ constexpr std::uint32_t EnginePoints =
 constexpr std::uint32_t PredictorPoints = pointBit(Point::LvptValue) |
                                           pointBit(Point::LctCounter) |
                                           pointBit(Point::CvuEntry);
-
-/**
- * Serving-path faults (socket frame I/O, torn writes, connection
- * resets, client stalls, worker death). Deliberately NOT part of
- * AllPoints: the lvpbench --chaos campaign predates the server and
- * its per-seed reports are a byte-identity contract; the serve soak
- * test and `lvpserve --chaos` / `lvpload --chaos` arm this mask
- * explicitly. New points append after ServeFrame so the decision
- * hash (which mixes the enum value) of every pre-existing point is
- * untouched.
- */
-constexpr std::uint32_t ServePoints =
-    pointBit(Point::ServeFrame) | pointBit(Point::ServeTornWrite) |
-    pointBit(Point::ServeConnReset) | pointBit(Point::ServeStall) |
-    pointBit(Point::ServeWorkerKill);
 
 constexpr std::uint32_t AllPoints = EnginePoints | PredictorPoints;
 

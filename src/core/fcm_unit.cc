@@ -154,32 +154,4 @@ FcmUnit::bitBudget() const
     return bits;
 }
 
-std::any
-FcmUnit::snapshotState() const
-{
-    return snapshot();
-}
-
-void
-FcmUnit::restoreState(const std::any &s)
-{
-    const auto *snap = std::any_cast<Snapshot>(&s);
-    lvp_assert(snap, "fcm restoreState: wrong snapshot type");
-    restore(*snap);
-}
-
-FcmUnit::Snapshot
-FcmUnit::snapshot() const
-{
-    return Snapshot{contexts_, values_, lct_};
-}
-
-void
-FcmUnit::restore(const Snapshot &s)
-{
-    contexts_ = s.contexts;
-    values_ = s.values;
-    lct_ = s.lct;
-}
-
 } // namespace lvplib::core

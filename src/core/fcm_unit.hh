@@ -67,8 +67,10 @@ class FcmUnit : public ValuePredictor
     void reset() override;
 
     std::uint64_t bitBudget() const override;
-    std::any snapshotState() const override;
-    void restoreState(const std::any &s) override;
+
+    /** Level-1 folded value history, one context per entry (for the
+     *  context-fold regression tests). */
+    const std::vector<Word> &contexts() const { return contexts_; }
 
   private:
     std::uint32_t level1Index(Addr pc) const;
@@ -80,23 +82,6 @@ class FcmUnit : public ValuePredictor
         bool valid = false;
     };
 
-  public:
-    /** Checkpointable predictor state (stats excluded), mirroring
-     *  LvpUnit::Snapshot for sharded replay. */
-    struct Snapshot
-    {
-        std::vector<Word> contexts;
-        std::vector<L2Entry> values;
-        Lct lct;
-    };
-
-    /** Capture the unit's replayable state (stats excluded). */
-    Snapshot snapshot() const;
-
-    /** Restore state captured by snapshot(); stats are untouched. */
-    void restore(const Snapshot &s);
-
-  private:
     FcmConfig config_;
     std::uint32_t l1Mask_;
     std::uint32_t l2Mask_;

@@ -4,7 +4,6 @@
 
 #include "chaos/chaos.hh"
 #include "isa/program.hh"
-#include "util/logging.hh"
 #include "util/stats.hh"
 
 namespace lvplib::core
@@ -38,25 +37,6 @@ double
 LvpStats::accuracy() const
 {
     return pct(correct + constants, incorrect + correct + constants);
-}
-
-LvpStats &
-LvpStats::operator+=(const LvpStats &o)
-{
-    loads += o.loads;
-    noPred += o.noPred;
-    incorrect += o.incorrect;
-    correct += o.correct;
-    constants += o.constants;
-    actualUnpred += o.actualUnpred;
-    actualPred += o.actualPred;
-    unpredIdentified += o.unpredIdentified;
-    predIdentified += o.predIdentified;
-    cvuInsertions += o.cvuInsertions;
-    cvuStoreInvalidations += o.cvuStoreInvalidations;
-    cvuDisplaceInvalidations += o.cvuDisplaceInvalidations;
-    cvuStaleHits += o.cvuStaleHits;
-    return *this;
 }
 
 // The (validate(), config) comma idiom runs the config's own fatal
@@ -237,24 +217,6 @@ LvpUnit::reset()
     chaosLoads_ = 0;
 }
 
-LvpUnit::Snapshot
-LvpUnit::snapshot() const
-{
-    return Snapshot{lvpt_, lct_, cvu_, bhr_, chaosLoads_};
-}
-
-void
-LvpUnit::restore(const Snapshot &s)
-{
-    lvpt_ = s.lvpt;
-    lct_ = s.lct;
-    cvu_ = s.cvu;
-    bhr_ = s.bhr;
-    // Resuming the fault-stream counter keeps a chaos-armed sharded
-    // replay injecting exactly the faults the serial replay would.
-    chaosLoads_ = s.chaosLoads;
-}
-
 std::uint64_t
 LvpUnit::bitBudget() const
 {
@@ -280,20 +242,6 @@ LvpUnit::bitBudget() const
     // Branch history register (bhrBits == 0 for the paper design).
     bits += config_.bhrBits;
     return bits;
-}
-
-std::any
-LvpUnit::snapshotState() const
-{
-    return snapshot();
-}
-
-void
-LvpUnit::restoreState(const std::any &s)
-{
-    const auto *snap = std::any_cast<Snapshot>(&s);
-    lvp_assert(snap, "lvp restoreState: wrong snapshot type");
-    restore(*snap);
 }
 
 PredictorInfo

@@ -47,16 +47,8 @@ struct LvpStats
     std::uint64_t cvuDisplaceInvalidations = 0;
     std::uint64_t cvuStaleHits = 0; ///< must stay 0: coherence property
 
-    /**
-     * Accumulate @p o into this. Every field is a plain event count,
-     * so stats from consecutive replay segments sum to exactly the
-     * stats of one serial pass — the property sharded replay's
-     * stitching step depends on.
-     */
-    LvpStats &operator+=(const LvpStats &o);
-
-    /** Field-wise equality: the byte-identity check the serving path
-     *  (lvp-serve sessions vs the offline pipeline) is verified by. */
+    /** Field-wise equality: the byte-identity check the chaos
+     *  campaign and the sweep tests compare runs by. */
     bool operator==(const LvpStats &o) const = default;
 
     /** Table 3 column: % of unpredictable loads identified as such. */
@@ -118,33 +110,6 @@ class LvpUnit : public ValuePredictor
     void reset() override;
 
     std::uint64_t bitBudget() const override;
-    std::any snapshotState() const override;
-    void restoreState(const std::any &s) override;
-
-    /**
-     * Checkpointable predictor state: everything a later onLoad /
-     * onStore / onBranch outcome depends on — the tables, the branch
-     * history register, and the chaos fault-stream position — but NOT
-     * the statistics, which are additive per segment and stay with
-     * each replay slice. Restoring a snapshot into a fresh unit of
-     * the same config and replaying records [i, j) reproduces bit for
-     * bit the table state and per-segment stats a serial replay shows
-     * across that window.
-     */
-    struct Snapshot
-    {
-        Lvpt lvpt;
-        Lct lct;
-        Cvu cvu;
-        Word bhr = 0;
-        std::uint64_t chaosLoads = 0;
-    };
-
-    /** Capture the unit's replayable state (stats excluded). */
-    Snapshot snapshot() const;
-
-    /** Restore state captured by snapshot(); stats are untouched. */
-    void restore(const Snapshot &s);
 
   private:
     /** LVPT lookup key: the pc, optionally hashed with the BHR. */

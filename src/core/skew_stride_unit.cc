@@ -217,30 +217,4 @@ SkewStrideUnit::bitBudget() const
     return std::uint64_t{config_.ways} * config_.entriesPerWay * entry;
 }
 
-SkewStrideUnit::Snapshot
-SkewStrideUnit::snapshot() const
-{
-    return Snapshot{ways_};
-}
-
-void
-SkewStrideUnit::restore(const Snapshot &s)
-{
-    ways_ = s.ways;
-}
-
-std::any
-SkewStrideUnit::snapshotState() const
-{
-    return snapshot();
-}
-
-void
-SkewStrideUnit::restoreState(const std::any &s)
-{
-    const auto *snap = std::any_cast<Snapshot>(&s);
-    lvp_assert(snap, "skewstride restoreState: wrong snapshot type");
-    restore(*snap);
-}
-
 } // namespace lvplib::core

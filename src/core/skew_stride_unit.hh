@@ -60,9 +60,8 @@ class SkewStrideUnit : public ValuePredictor
     void reset() override;
 
     std::uint64_t bitBudget() const override;
-    std::any snapshotState() const override;
-    void restoreState(const std::any &s) override;
 
+  private:
     struct Entry
     {
         Word last = 0;
@@ -72,19 +71,6 @@ class SkewStrideUnit : public ValuePredictor
         bool valid = false;
     };
 
-    /** Checkpointable predictor state (stats excluded): all ways. */
-    struct Snapshot
-    {
-        std::vector<std::vector<Entry>> ways;
-    };
-
-    /** Capture the unit's replayable state (stats excluded). */
-    Snapshot snapshot() const;
-
-    /** Restore state captured by snapshot(); stats are untouched. */
-    void restore(const Snapshot &s);
-
-  private:
     std::uint32_t index(Addr pc, unsigned way) const;
     std::uint16_t tagOf(Addr pc, unsigned way) const;
 

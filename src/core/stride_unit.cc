@@ -173,32 +173,4 @@ StrideLvpUnit::bitBudget() const
     return bits;
 }
 
-std::any
-StrideLvpUnit::snapshotState() const
-{
-    return snapshot();
-}
-
-void
-StrideLvpUnit::restoreState(const std::any &s)
-{
-    const auto *snap = std::any_cast<Snapshot>(&s);
-    lvp_assert(snap, "stride restoreState: wrong snapshot type");
-    restore(*snap);
-}
-
-StrideLvpUnit::Snapshot
-StrideLvpUnit::snapshot() const
-{
-    return Snapshot{table_, lct_, cvu_};
-}
-
-void
-StrideLvpUnit::restore(const Snapshot &s)
-{
-    table_ = s.table;
-    lct_ = s.lct;
-    cvu_ = s.cvu;
-}
-
 } // namespace lvplib::core

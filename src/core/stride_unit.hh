@@ -68,8 +68,6 @@ class StrideLvpUnit : public ValuePredictor
     void reset() override;
 
     std::uint64_t bitBudget() const override;
-    std::any snapshotState() const override;
-    void restoreState(const std::any &s) override;
 
   private:
     struct Entry
@@ -79,24 +77,6 @@ class StrideLvpUnit : public ValuePredictor
         SatCounter conf{2};
         bool valid = false;
     };
-
-  public:
-    /** Checkpointable predictor state (stats excluded), mirroring
-     *  LvpUnit::Snapshot for sharded replay. */
-    struct Snapshot
-    {
-        std::vector<Entry> table;
-        Lct lct;
-        Cvu cvu;
-    };
-
-    /** Capture the unit's replayable state (stats excluded). */
-    Snapshot snapshot() const;
-
-    /** Restore state captured by snapshot(); stats are untouched. */
-    void restore(const Snapshot &s);
-
-  private:
 
     std::uint32_t index(Addr pc) const;
 

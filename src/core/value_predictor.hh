@@ -8,17 +8,14 @@
  * Every unit — the paper's LVPT+LCT+CVU, the stride and FCM
  * extensions, and the CVP-style contenders (VTAGE, skewed stride) —
  * exposes the same trace-driven protocol: onLoad / onStore / onBranch
- * in program order, LvpStats accounting, and checkpointable state as
- * a type-erased snapshot so sharded replay can cut any predictor's
- * trace into time slices without knowing its concrete table layout.
- * bitBudget() counts every bit of architected table state, making
- * leaderboard comparisons hardware-budget-fair.
+ * in program order and LvpStats accounting. bitBudget() counts every
+ * bit of architected table state, making leaderboard comparisons
+ * hardware-budget-fair.
  */
 
 #ifndef LVPLIB_CORE_VALUE_PREDICTOR_HH
 #define LVPLIB_CORE_VALUE_PREDICTOR_HH
 
-#include <any>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -38,7 +35,7 @@ struct LvpStats;
  * Abstract trace-driven value predictor. Concrete units keep their
  * typed interfaces (tests and the paper runners use those); the
  * virtual layer exists so the registry, the championship experiment,
- * and sharded replay can treat the whole zoo uniformly. Deriving adds
+ * and RunCache::sweep can treat the whole zoo uniformly. Deriving adds
  * no state and changes no arithmetic, so the migrated units' outputs
  * stay byte-identical.
  */
@@ -72,19 +69,6 @@ class ValuePredictor
      * rules per unit.
      */
     virtual std::uint64_t bitBudget() const = 0;
-
-    /**
-     * Type-erased Snapshot of the unit's replayable state (stats
-     * excluded), holding the unit's concrete Snapshot type. Feeding it
-     * to restoreState() on a same-configured unit and replaying
-     * records [i, j) reproduces a serial replay's table state and
-     * per-segment stats bit for bit — the sharded-replay contract.
-     */
-    virtual std::any snapshotState() const = 0;
-
-    /** Restore state captured by snapshotState(); stats untouched.
-     *  Panics if @p s holds a different unit's snapshot type. */
-    virtual void restoreState(const std::any &s) = 0;
 };
 
 /** One registered predictor: a name, a blurb, and a factory building
@@ -110,8 +94,8 @@ const PredictorInfo *findPredictor(std::string_view name);
  * The trace-pipeline stage driving any value predictor: stamps each
  * load's PredState into the record and forwards everything
  * downstream. Stores reach onStore() and branch records onBranch(),
- * so every unit sees the same protocol whether it runs alone, in
- * front of a timing model, or in a sharded replay.
+ * so every unit sees the same protocol whether it runs alone or in
+ * front of a timing model.
  */
 class PredictorAnnotator : public trace::TraceSink
 {

@@ -248,33 +248,4 @@ VtageUnit::bitBudget() const
     return bits;
 }
 
-VtageUnit::Snapshot
-VtageUnit::snapshot() const
-{
-    return Snapshot{base_, banks_, history_, sinceMisp_};
-}
-
-void
-VtageUnit::restore(const Snapshot &s)
-{
-    base_ = s.base;
-    banks_ = s.banks;
-    history_ = s.history;
-    sinceMisp_ = s.sinceMisp;
-}
-
-std::any
-VtageUnit::snapshotState() const
-{
-    return snapshot();
-}
-
-void
-VtageUnit::restoreState(const std::any &s)
-{
-    const auto *snap = std::any_cast<Snapshot>(&s);
-    lvp_assert(snap, "vtage restoreState: wrong snapshot type");
-    restore(*snap);
-}
-
 } // namespace lvplib::core

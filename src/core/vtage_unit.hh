@@ -75,9 +75,8 @@ class VtageUnit : public ValuePredictor
     void reset() override;
 
     std::uint64_t bitBudget() const override;
-    std::any snapshotState() const override;
-    void restoreState(const std::any &s) override;
 
+  private:
     struct Entry
     {
         Word value = 0;
@@ -86,23 +85,6 @@ class VtageUnit : public ValuePredictor
         bool valid = false;
     };
 
-    /** Checkpointable predictor state (stats excluded): all banks,
-     *  the branch history, and the throttle position. */
-    struct Snapshot
-    {
-        std::vector<Entry> base;
-        std::vector<std::vector<Entry>> banks;
-        Word history = 0;
-        std::uint64_t sinceMisp = 0;
-    };
-
-    /** Capture the unit's replayable state (stats excluded). */
-    Snapshot snapshot() const;
-
-    /** Restore state captured by snapshot(); stats are untouched. */
-    void restore(const Snapshot &s);
-
-  private:
     /** Fold the low historyBits(b) of the history into a hash. */
     Word foldedHistory(unsigned b) const;
 

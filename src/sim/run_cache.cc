@@ -748,34 +748,6 @@ RunCache::locality(const Workload &w, CodeGen cg, unsigned scale,
         });
 }
 
-std::uint64_t
-RunCache::replayShared(const Workload &w, CodeGen cg, unsigned scale,
-                       const RunConfig &rc, trace::TraceSink &sink)
-{
-    auto prog = program(w, cg, scale);
-    std::string tr = impl_->ensureTrace(*this, w, cg, scale, rc);
-    obs::Timeline::Scope span("replay:" + w.name, "sim");
-    if (!tr.empty()) {
-        try {
-            trace::TraceFileReader reader(tr, *prog);
-            std::uint64_t n = reader.replay(sink);
-            addInstructionsProcessed(n);
-            impl_->noteReplay(1);
-            return n;
-        } catch (const SimError &e) {
-            // Invalidate the artifact, then let the caller decide:
-            // unlike the memoized paths, the sink already consumed a
-            // partial stream, so a silent in-memory fallback here
-            // would double-feed it.
-            impl_->onReplayError(tr, e);
-            throw;
-        }
-    }
-    std::uint64_t n = interpret(*prog, rc, sink);
-    addInstructionsProcessed(n);
-    return n;
-}
-
 std::vector<SweepRun>
 RunCache::sweep(const Workload &w, CodeGen cg, unsigned scale,
                 const std::vector<SweepVariant> &variants,

@@ -106,11 +106,10 @@ class RunCache
 
     /**
      * A private cache instance. The experiment engine shares
-     * instance(); code that needs its own memoization domain — a
-     * test isolating cache effects, a serving process keeping its
-     * trace artifacts apart from an embedded bench run — constructs
-     * its own. A fresh instance reads LVPLIB_TRACE_CACHE like the
-     * shared one; setTraceDir() overrides per instance.
+     * instance(); code that needs its own memoization domain, such as
+     * a test isolating cache effects, constructs its own. A fresh
+     * instance reads LVPLIB_TRACE_CACHE like the shared one;
+     * setTraceDir() overrides per instance.
      */
     RunCache();
 
@@ -132,27 +131,6 @@ class RunCache
     std::shared_ptr<const core::ValueLocalityProfiler>
     locality(const workloads::Workload &w, workloads::CodeGen cg,
              unsigned scale, const RunConfig &rc);
-
-    /**
-     * Replay the shared phase-1 trace of (w, cg, scale, rc) into a
-     * caller-owned @p sink — the per-session half of the
-     * per-session/shared split behind lvp-serve: the immutable trace
-     * artifact is produced once and shared, while the consuming state
-     * (a session's predictor, a stream encoder) belongs entirely to
-     * the caller. Falls back to a fresh in-memory interpretation when
-     * the trace cache is disabled or unusable; either way the sink
-     * sees the exact record sequence every other replay path sees.
-     *
-     * @return instructions replayed.
-     * @throws SimError on a mid-replay failure. The bad trace has
-     * already been invalidated (a retry regenerates it), but the sink
-     * may have consumed a partial stream — reset or discard it before
-     * retrying.
-     */
-    std::uint64_t replayShared(const workloads::Workload &w,
-                               workloads::CodeGen cg, unsigned scale,
-                               const RunConfig &rc,
-                               trace::TraceSink &sink);
 
     /**
      * Run a configuration sweep over one workload: element i of the

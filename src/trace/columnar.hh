@@ -1,19 +1,18 @@
 /**
  * @file
- * Column codecs shared by the v3 trace file format
- * (trace/trace_file.hh) and the lvp-serve hot-trace cache
- * (serve/protocol.hh): the paper's value-locality observation applied
- * to our own storage layer. Dynamic pc / effective-address / value
- * columns vary slowly, so delta + zigzag + LEB128 varint shrinks them
- * from 8 bytes to ~1 byte per record, and the mostly-zero columns
- * (addresses of non-memory records, values of non-loads) collapse
- * further behind a one-bit presence bitmap.
+ * Column codecs of the v3 trace file format (trace/trace_file.hh):
+ * the paper's value-locality observation applied to our own storage
+ * layer. Dynamic pc / effective-address / value columns vary slowly,
+ * so delta + zigzag + LEB128 varint shrinks them from 8 bytes to ~1
+ * byte per record, and the mostly-zero columns (addresses of
+ * non-memory records, values of non-loads) collapse further behind a
+ * one-bit presence bitmap.
  *
  * Encoders are infallible; decoders are strict and total: every read
  * is bounds-checked against the payload, a varint longer than
  * VarintMaxBytes or overflowing 64 bits is rejected, and a column
  * that does not consume exactly its declared byte length fails.
- * Failure is a `false` return — callers (which know the file/stream
+ * Failure is a `false` return — callers (which know the file and block
  * context) turn it into a typed SimError(TraceCorrupt).
  */
 

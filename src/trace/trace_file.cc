@@ -11,7 +11,6 @@
 #include "chaos/chaos.hh"
 #include "obs/metrics.hh"
 #include "trace/columnar.hh"
-#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace lvplib::trace
@@ -790,7 +789,6 @@ TraceFileReader::TraceFileReader(
                 static_cast<unsigned long long>(*expectFingerprint)));
     }
     records_ = env.records;
-    end_ = records_;
     version_ = env.version;
     fingerprint_ = env.fingerprint;
     expectChecksum_ = env.checksum;
@@ -819,60 +817,8 @@ TraceFileReader::TraceFileReader(
                            detailStr.c_str()));
     }
     filePos_ = TraceHeaderBytes;
-    prefetch_ =
-        envUnsigned("LVPLIB_TRACE_PREFETCH").value_or(1) != 0;
     decoded_.reserve(static_cast<std::size_t>(
         std::min<std::uint64_t>(records_, blockRecords_)));
-}
-
-TraceFileReader::TraceFileReader(
-    const std::string &path, const isa::Program &prog,
-    std::optional<std::uint64_t> expectFingerprint,
-    const Window &window)
-    : TraceFileReader(path, prog, expectFingerprint)
-{
-    if (window.first > records_ ||
-        window.count > records_ - window.first) {
-        std::fclose(file_);
-        file_ = nullptr;
-        throw SimError(
-            ErrorKind::TraceCorrupt,
-            detail::formatMsg(
-                "invalid trace window [%llu, +%llu) for '%s': file "
-                "has %llu records",
-                static_cast<unsigned long long>(window.first),
-                static_cast<unsigned long long>(window.count),
-                path.c_str(),
-                static_cast<unsigned long long>(records_)));
-    }
-    seq_ = window.first;
-    end_ = window.first + window.count;
-    // The whole-payload checksum cannot be verified from a window;
-    // callers guarantee the file was verified beforehand.
-    verifyChecksum_ = false;
-    if (version_ == TraceFormatVersionV2) {
-        if (std::fseek(file_,
-                       static_cast<long>(TraceHeaderBytes +
-                                         window.first * RecordBytes),
-                       SEEK_SET) != 0) {
-            std::fclose(file_);
-            file_ = nullptr;
-            throw SimError(ErrorKind::TraceIo,
-                           detail::formatMsg(
-                               "cannot seek to record %llu in '%s'",
-                               static_cast<unsigned long long>(
-                                   window.first),
-                               path.c_str()));
-        }
-        bufPos_ = 0;
-        bufLen_ = 0;
-        iobuf_.resize(
-            static_cast<std::size_t>(std::min<std::uint64_t>(
-                window.count, ReaderBufRecords)) *
-            RecordBytes);
-    }
-    // v3 seeks lazily: loadBlockFor() jumps straight to the block
-    // holding window.first through the index.
 }
 
 TraceFileReader::~TraceFileReader()
@@ -893,7 +839,7 @@ void
 TraceFileReader::fillBuffer()
 {
     std::uint64_t want = std::min<std::uint64_t>(
-        end_ - seq_, ReaderBufRecords);
+        records_ - seq_, ReaderBufRecords);
     std::size_t got = std::fread(
         iobuf_.data(), 1,
         static_cast<std::size_t>(want) * RecordBytes, file_);
@@ -1008,10 +954,9 @@ TraceFileReader::loadBlockFor(std::uint64_t seq)
     }
     // Read the next compressed block behind the current decode and
     // sweep it into cache, so the fread + decode of block b+1 starts
-    // warm (LVPLIB_TRACE_PREFETCH=0 disables).
+    // warm.
     std::uint64_t nb = b + 1;
-    if (prefetch_ && nb < index_.size() &&
-        end_ > nb * static_cast<std::uint64_t>(blockRecords_)) {
+    if (nb < index_.size()) {
         std::uint64_t plen = blockBytes(nb);
         bool ok = filePos_ == index_[nb] ||
                   std::fseek(file_, static_cast<long>(index_[nb]),
@@ -1139,8 +1084,8 @@ TraceFileReader::nextV3(TraceRecord &rec)
 bool
 TraceFileReader::next(TraceRecord &rec)
 {
-    if (seq_ == end_) {
-        if (verifyChecksum_ && checksum_ != expectChecksum_)
+    if (seq_ == records_) {
+        if (checksum_ != expectChecksum_)
             corrupt(traceFileStatusName(
                 TraceFileStatus::ChecksumMismatch));
         return false;
@@ -1161,7 +1106,7 @@ TraceFileReader::replay(TraceSink &sink)
         // end-of-trace checksum verification in next().
         std::vector<TraceRecord> batch(static_cast<std::size_t>(
             std::max<std::uint64_t>(
-                1, std::min<std::uint64_t>(end_ - seq_,
+                1, std::min<std::uint64_t>(records_ - seq_,
                                            ReplayBatchRecords))));
         std::uint64_t n = 0;
         for (;;) {
@@ -1184,12 +1129,12 @@ TraceFileReader::replay(TraceSink &sink)
     // v3: each decoded block IS the batch — consumeBatch sees spans
     // of the reader's own block buffer, with no intermediate copy.
     std::uint64_t n = 0;
-    while (seq_ < end_) {
+    while (seq_ < records_) {
         if (decPos_ == decoded_.size())
             loadBlockFor(seq_);
         std::size_t k = static_cast<std::size_t>(
             std::min<std::uint64_t>(decoded_.size() - decPos_,
-                                    end_ - seq_));
+                                    records_ - seq_));
         sink.consumeBatch(std::span<const TraceRecord>(
             decoded_.data() + decPos_, k));
         batches.add();
@@ -1198,7 +1143,7 @@ TraceFileReader::replay(TraceSink &sink)
         seq_ += k;
         n += k;
     }
-    if (verifyChecksum_ && checksum_ != expectChecksum_)
+    if (checksum_ != expectChecksum_)
         corrupt(
             traceFileStatusName(TraceFileStatus::ChecksumMismatch));
     sink.finish();

@@ -37,9 +37,8 @@
  *       value column: sparse
  *       taken column: n bits, packed
  *       pred column:  n two-bit PredStates, packed
- *   block index: one u64 absolute file offset per block, so a
- *     windowed reader seeks straight to the block holding any record
- *     and decodes at most one partial block
+ *   block index: one u64 absolute file offset per block, from which
+ *     the reader sizes each block's single fread
  *   footer (24 bytes)
  *     [ 0.. 8)  magic "ECARTPVL"
  *     [ 8..16)  u64 record count N
@@ -52,9 +51,7 @@
  * most records and strongly local when present, so a record costs a
  * few bytes instead of 26. Bit-packing taken/pred makes every decoded
  * enum legal by construction — corruption detection rests on the
- * per-block checksum instead of per-record enum range checks, which
- * also gives windowed readers integrity coverage the v2 windows never
- * had.
+ * per-block checksum instead of per-record enum range checks.
  *
  * Both formats reconstruct nextPc and the static instruction from the
  * Program at read time; seq is implicit in record order. Memory ops
@@ -323,8 +320,8 @@ class TraceFileWriter : public TraceSink
  * decodes its columns straight into an in-memory TraceRecord block;
  * replay() hands spans of that same block buffer to
  * TraceSink::consumeBatch() with no further copy, while the next
- * compressed block is read and software-prefetched behind the decode
- * (set LVPLIB_TRACE_PREFETCH=0 to disable the prefetch). v2 fills a
+ * compressed block is read and software-prefetched behind the decode.
+ * v2 fills a
  * multi-record byte buffer and decodes records out of it. Validation
  * is strictly in record order — a corrupt record throws before any
  * later record is observed by the sink.
@@ -332,35 +329,9 @@ class TraceFileWriter : public TraceSink
 class TraceFileReader
 {
   public:
-    /**
-     * A half-open record window [first, first + count) of a trace
-     * file, for sharded replay. A windowed reader seeks straight to
-     * record `first` (v3: to the block holding it, decoding at most
-     * one partial block), delivers exactly `count` records with their
-     * absolute sequence numbers, then reports end-of-trace WITHOUT
-     * the whole-payload checksum comparison (the checksum covers all
-     * payload bytes, which a window by definition does not read; v3
-     * windows still verify every block checksum they touch). Use only
-     * on files already verified end to end — the run cache verifies
-     * before replaying, and the sharded engine's leader pass reads
-     * the full file first. Per-record validation (chaos read-flip,
-     * pc / enum validation) is identical to a full read.
-     */
-    struct Window
-    {
-        std::uint64_t first = 0;
-        std::uint64_t count = 0;
-    };
-
     TraceFileReader(const std::string &path, const isa::Program &prog,
                     std::optional<std::uint64_t> expectFingerprint =
                         std::nullopt);
-
-    /** Open a windowed reader (see Window). Throws TraceCorrupt when
-     *  the window exceeds the footer's record count. */
-    TraceFileReader(const std::string &path, const isa::Program &prog,
-                    std::optional<std::uint64_t> expectFingerprint,
-                    const Window &window);
 
     ~TraceFileReader();
 
@@ -369,13 +340,11 @@ class TraceFileReader
 
     /**
      * Read one record into @p rec.
-     * @return false at the end of the trace (checksum-verified for a
-     * full reader; windowed readers skip the whole-payload check).
+     * @return false at the end of the trace (checksum-verified).
      */
     bool next(TraceRecord &rec);
 
-    /** Stream the whole file (or window) into @p sink (calls
-     *  finish()). */
+    /** Stream the whole file into @p sink (calls finish()). */
     std::uint64_t replay(TraceSink &sink);
 
     /** Total records promised by the footer. */
@@ -408,8 +377,6 @@ class TraceFileReader
     std::string path_;
     SeqNum seq_ = 0;
     std::uint64_t records_ = 0;
-    std::uint64_t end_ = 0;       ///< one past the last record to read
-    bool verifyChecksum_ = true;  ///< false for windowed readers
     std::uint32_t version_ = TraceFormatVersion;
     std::uint64_t fingerprint_ = 0;
     std::uint64_t expectChecksum_ = 0;
@@ -426,8 +393,6 @@ class TraceFileReader
     std::uint64_t indexStart_ = 0;      ///< file offset of the index
     std::vector<std::uint64_t> index_;  ///< block file offsets
     std::uint64_t filePos_ = 0;         ///< current stream position
-    std::uint64_t nextBlock_ = 0;       ///< next block not yet loaded
-    bool prefetch_ = true;              ///< LVPLIB_TRACE_PREFETCH
     std::vector<std::uint8_t> cblock_;  ///< current compressed block
     std::vector<std::uint8_t> pblock_;  ///< prefetched next block
     std::size_t pblockLen_ = 0;         ///< valid bytes in pblock_

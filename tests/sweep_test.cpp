@@ -8,8 +8,10 @@
  * every shard count, with a cold trace cache, a warm one, and none,
  * reading the trace once per shard group. A run cut short by
  * maxInstructions must give the same results on every path. Also pins
- * the instruction counter: a sweep plus a locality profile count the
- * same records cold or warm.
+ * the instruction counter (a sweep plus a locality profile count the
+ * same records cold or warm), the chaos gate on group sharding, and
+ * group-sharded sweeps of the shared RunCache against their serial
+ * selves.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include <variant>
 #include <vector>
 
+#include "chaos/chaos.hh"
 #include "core/lvp_unit.hh"
 #include "sim/parallel.hh"
 #include "sim/pipeline_driver.hh"
@@ -342,6 +345,160 @@ TEST(Sweep, InstructionCounterIsTheSameColdOrWarm)
     EXPECT_EQ(inMemory, warm);
     // Every variant but the duplicate is computed, plus the profile.
     EXPECT_EQ(warm, n * variants.size());
+}
+
+TEST(Sweep, ChaosArmedSweepDoesNotShard)
+{
+    // Group sharding is off while chaos is armed: shard tasks would
+    // draw from the shard pool's TaskThrow stream. With TaskThrow
+    // firing on every submission and four shards, a warm sweep over
+    // two distinct predictors must read the trace once, inline,
+    // inject nothing and match an unarmed serial sweep.
+    const auto &w = workloads::findWorkload("grep");
+    const std::vector<SweepVariant> variants = {
+        {core::lvpPredictor(LvpConfig::simple()), Ppc620Config::base620()},
+        {*core::findPredictor("stride"), {}},
+        {*core::findPredictor("fcm"), AlphaConfig::base21164()},
+    };
+
+    SweepFixture fx("chaos");
+    sim::setShardJobs(1);
+    const auto want = fx.cache.sweep(w, CodeGen::Ppc, 1, variants,
+                                     sim::RunConfig{});
+    ASSERT_EQ(fx.cache.stats().traceWrites, 1u);
+
+    sim::setShardJobs(4);
+    fx.cache.clear();
+    const std::uint64_t invalidBefore = fx.cache.stats().traceInvalid;
+    auto &ce = chaos::engine();
+    ce.resetCounts();
+    ce.arm({1, chaos::pointBit(chaos::Point::TaskThrow), 1});
+    std::vector<SweepRun> got;
+    try {
+        got = fx.cache.sweep(w, CodeGen::Ppc, 1, variants,
+                             sim::RunConfig{});
+    } catch (...) {
+        ce.disarm();
+        throw;
+    }
+    ce.disarm();
+    const std::uint64_t taskThrows = ce.injected(chaos::Point::TaskThrow);
+    ce.resetCounts();
+
+    auto stats = fx.cache.stats();
+    EXPECT_EQ(taskThrows, 0u);
+    EXPECT_EQ(stats.traceInvalid, invalidBefore);
+    EXPECT_EQ(stats.traceWrites, 0u);
+    EXPECT_EQ(stats.traceReplays, 1u);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        expectSameRun(got[i], want[i],
+                      "chaos-armed variant " + std::to_string(i));
+}
+
+/** Every field — byte identity, not just the headline counters. */
+void
+expectSameStats(const core::LvpStats &a, const core::LvpStats &b,
+                const std::string &what)
+{
+    EXPECT_EQ(a.loads, b.loads) << what;
+    EXPECT_EQ(a.noPred, b.noPred) << what;
+    EXPECT_EQ(a.incorrect, b.incorrect) << what;
+    EXPECT_EQ(a.correct, b.correct) << what;
+    EXPECT_EQ(a.constants, b.constants) << what;
+    EXPECT_EQ(a.actualUnpred, b.actualUnpred) << what;
+    EXPECT_EQ(a.actualPred, b.actualPred) << what;
+    EXPECT_EQ(a.unpredIdentified, b.unpredIdentified) << what;
+    EXPECT_EQ(a.predIdentified, b.predIdentified) << what;
+    EXPECT_EQ(a.cvuInsertions, b.cvuInsertions) << what;
+    EXPECT_EQ(a.cvuStoreInvalidations, b.cvuStoreInvalidations) << what;
+    EXPECT_EQ(a.cvuDisplaceInvalidations, b.cvuDisplaceInvalidations)
+        << what;
+    EXPECT_EQ(a.cvuStaleHits, b.cvuStaleHits) << what;
+}
+
+/** Each variant's LvpStats from one RunCache sweep over grep. */
+std::vector<core::LvpStats>
+sweepStats(const std::vector<sim::SweepVariant> &variants)
+{
+    std::vector<core::LvpStats> out;
+    for (const auto &r : sim::RunCache::instance().sweep(
+             workloads::findWorkload("grep"), workloads::CodeGen::Ppc, 1,
+             variants, sim::RunConfig{}))
+        out.push_back(r.lvp);
+    return out;
+}
+
+/** A sweep of @p variants from a cleared memo, with shards forced to
+ *  @p shards: the group-sharded run-cache path at shards > 1. */
+std::vector<core::LvpStats>
+sweepAt(const std::vector<sim::SweepVariant> &variants, unsigned shards)
+{
+    sim::setShardJobs(shards);
+    sim::RunCache::instance().clear();
+    return sweepStats(variants);
+}
+
+TEST(ShardReplay, RunCachePredictorPathsMatchSerialResults)
+{
+    // The championship's run-cache path: a group-sharded sweep over
+    // the whole registry must agree with its serial (shards=1) self.
+    namespace fs = std::filesystem;
+    auto &cache = sim::RunCache::instance();
+    const std::string savedDir = cache.traceDir();
+    fs::path dir =
+        fs::path(::testing::TempDir()) / "lvplib_shard_predcache";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    cache.setTraceDir(dir.string());
+
+    std::vector<sim::SweepVariant> preds;
+    for (const auto &info : core::predictorRegistry())
+        preds.push_back({info, {}});
+
+    auto serial = sweepAt(preds, 1);
+    auto sharded = sweepAt(preds, 3);
+
+    ASSERT_EQ(serial.size(), sharded.size());
+    for (std::size_t i = 0; i < serial.size(); ++i)
+        expectSameStats(serial[i], sharded[i],
+                        "predictor sweep " + preds[i].predictor->name);
+
+    sim::setShardJobs(0);
+    cache.clear();
+    cache.setTraceDir(savedDir);
+    fs::remove_all(dir);
+}
+
+TEST(ShardReplay, RunCacheShardedPathsMatchSerialResults)
+{
+    namespace fs = std::filesystem;
+    auto &cache = sim::RunCache::instance();
+    const std::string savedDir = cache.traceDir();
+    fs::path dir =
+        fs::path(::testing::TempDir()) / "lvplib_shard_runcache";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    cache.setTraceDir(dir.string());
+
+    std::vector<sim::SweepVariant> sweep;
+    for (const auto &cfg :
+         {core::LvpConfig::simple(), core::LvpConfig::constant(),
+          core::LvpConfig::limit()})
+        sweep.push_back({core::lvpPredictor(cfg), {}});
+
+    auto serial = sweepAt(sweep, 1);
+    auto sharded = sweepAt(sweep, 3);
+
+    ASSERT_EQ(serial.size(), sharded.size());
+    for (std::size_t i = 0; i < serial.size(); ++i)
+        expectSameStats(serial[i], sharded[i],
+                        "sweep variant " + std::to_string(i));
+
+    sim::setShardJobs(0);
+    cache.clear();
+    cache.setTraceDir(savedDir);
+    fs::remove_all(dir);
 }
 
 } // namespace

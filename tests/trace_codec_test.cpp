@@ -2,9 +2,8 @@
  * @file
  * Tests for the v3 columnar trace machinery: the shared column codecs
  * (trace/columnar.hh) under round-trip fuzz and adversarial inputs,
- * block-structured v3 files with tiny blocks, windowed reads that
- * straddle block boundaries, v2 read compatibility, and v2 -> v3
- * migration (single file and directory scan).
+ * block-structured v3 files with tiny blocks, v2 read compatibility,
+ * and v2 -> v3 migration (single file and directory scan).
  */
 
 #include <gtest/gtest.h>
@@ -348,56 +347,6 @@ TEST(TraceV3, TinyBlockFileRoundTripsAndCompresses)
     EXPECT_EQ(replayed.loads(), live.stats.loads());
     EXPECT_EQ(replayed.stores(), live.stats.stores());
     EXPECT_EQ(replayed.takenBranches(), live.stats.takenBranches());
-}
-
-TEST(TraceV3, WindowsStraddleBlockBoundaries)
-{
-    TempPath tmp("lvplib_v3_window.trace");
-    auto prog = demoProgram();
-    const std::uint32_t kBlock = 64;
-    std::uint64_t n =
-        writeDemoTrace(tmp.path, prog, 7, tinyBlocks(kBlock));
-    ASSERT_GT(n, 4 * kBlock);
-
-    auto all = readAllRecords(tmp.path, prog);
-    ASSERT_EQ(all.size(), n);
-
-    const std::pair<std::uint64_t, std::uint64_t> windows[] = {
-        {0, 1},                    // first record only
-        {0, kBlock},               // exactly one block
-        {kBlock - 1, 2},           // straddles the first boundary
-        {kBlock, 1},               // starts on a boundary
-        {kBlock + 1, 3 * kBlock},  // mid-block to mid-block, 3 blocks
-        {2 * kBlock - 1, kBlock + 2}, // ends one past a boundary
-        {n - 1, 1},                // last record only
-        {0, n},                    // the whole file as a window
-    };
-    for (auto [first, count] : windows) {
-        ASSERT_LE(first + count, n);
-        TraceFileReader reader(tmp.path, prog, std::nullopt,
-                               {first, count});
-        trace::TraceRecord rec;
-        for (std::uint64_t i = 0; i < count; ++i) {
-            ASSERT_TRUE(reader.next(rec))
-                << "window [" << first << "," << count << ") at " << i;
-            const auto &exp = all[first + i];
-            ASSERT_EQ(rec.pc, exp.pc) << first + i;
-            ASSERT_EQ(rec.effAddr, exp.effAddr) << first + i;
-            ASSERT_EQ(rec.value, exp.value) << first + i;
-            ASSERT_EQ(rec.taken, exp.taken) << first + i;
-            ASSERT_EQ(rec.nextPc, exp.nextPc) << first + i;
-            ASSERT_EQ(rec.inst, exp.inst) << first + i;
-        }
-        EXPECT_FALSE(reader.next(rec))
-            << "window [" << first << "," << count << ") overran";
-    }
-
-    // A window past the footer's record count is rejected.
-    expectSimError(
-        [&] {
-            TraceFileReader r(tmp.path, prog, std::nullopt, {n, 1});
-        },
-        ErrorKind::TraceCorrupt, "window");
 }
 
 TEST(TraceV3, FlippedCompressedByteDetected)
