@@ -2,12 +2,14 @@
 
 #include <cstdlib>
 #include <limits>
+#include <string_view>
 
 #include "core/lvp_unit.hh"
 #include "core/value_predictor.hh"
 #include "isa/text_asm.hh"
 #include "sim/pipeline_driver.hh"
 #include "uarch/machine_config.hh"
+#include "util/env.hh"
 #include "workloads/workload.hh"
 
 namespace lvplib::sim
@@ -131,12 +133,13 @@ parseCli(const std::vector<std::string> &args, std::string &error)
             auto *v = value("--scale");
             if (!v)
                 return std::nullopt;
-            int n = std::atoi(v->c_str());
-            if (n < 1) {
+            auto n = parseUnsigned(
+                *v, 1, std::numeric_limits<unsigned>::max());
+            if (!n) {
                 error = "bad scale '" + *v + "'";
                 return std::nullopt;
             }
-            opts.scale = static_cast<unsigned>(n);
+            opts.scale = static_cast<unsigned>(*n);
         } else if (a == "--codegen") {
             auto *v = value("--codegen");
             if (!v)
@@ -188,13 +191,13 @@ benchUsage()
   --watchdog-ms N   wall-clock budget per pipeline run (0 = off);
                     a run over budget fails with a watchdog error
   --help            this text
-       lvpbench --verify-trace-cache DIR [--prune] [--migrate]
-                    scan a trace directory and exit (2 if any invalid);
+       lvpbench --verify-trace-cache DIR [--prune]
+                    scan a trace directory and exit (2 if any invalid,
+                    including a file of another format version);
                     reports each file's format version and compression
                     ratio; --prune deletes invalid traces and abandoned
                     temp files (age-gated: fresh temps are left for
-                    their possibly-live writers); --migrate rewrites
-                    valid v2 traces as v3 in place (atomic temp+rename)
+                    their possibly-live writers)
        lvpbench --chaos SEED[,N]
                     run the seeded fault-injection campaign (N =
                     predictor-fault quota, default 1000) and exit
@@ -226,13 +229,12 @@ parseBenchCli(const std::vector<std::string> &args, std::string &error)
             const std::string *v = value();
             if (!v)
                 return std::nullopt;
-            char *end = nullptr;
-            unsigned long n = std::strtoul(v->c_str(), &end, 10);
-            if (v->empty() || !end || *end || n < min || n > max) {
+            auto n = parseUnsigned(*v, min, max);
+            if (!n) {
                 error = "bad " + a + " value '" + *v + "'";
                 return std::nullopt;
             }
-            return static_cast<unsigned>(n);
+            return static_cast<unsigned>(*n);
         };
         if (a == "--help" || a == "-h") {
             opts.help = true;
@@ -244,8 +246,6 @@ parseBenchCli(const std::vector<std::string> &args, std::string &error)
             opts.traceCache = false;
         } else if (a == "--prune") {
             opts.prune = true;
-        } else if (a == "--migrate") {
-            opts.migrate = true;
         } else if (a == "--filter") {
             auto *v = value();
             if (!v)
@@ -339,42 +339,30 @@ parseBenchCli(const std::vector<std::string> &args, std::string &error)
             auto *v = value();
             if (!v)
                 return std::nullopt;
-            char *end = nullptr;
-            unsigned long long n = std::strtoull(v->c_str(), &end, 10);
-            if (v->empty() || !end || *end) {
+            auto n = parseUnsigned(*v);
+            if (!n) {
                 error = "bad --watchdog-ms value '" + *v + "'";
                 return std::nullopt;
             }
-            opts.watchdogMs = n;
+            opts.watchdogMs = *n;
         } else if (a == "--chaos") {
             auto *v = value();
             if (!v)
                 return std::nullopt;
-            // SEED or SEED,N — both strict unsigned decimals.
-            std::string seedPart = *v, faultPart;
-            if (auto comma = v->find(','); comma != std::string::npos) {
-                seedPart = v->substr(0, comma);
-                faultPart = v->substr(comma + 1);
+            // SEED or SEED,N — both strict unsigned decimals, N > 0.
+            std::string_view spec = *v, seedPart = spec;
+            std::optional<unsigned long long> faults = opts.chaosFaults;
+            if (auto comma = spec.find(','); comma != spec.npos) {
+                seedPart = spec.substr(0, comma);
+                faults = parseUnsigned(spec.substr(comma + 1), 1);
             }
-            char *end = nullptr;
-            unsigned long long seed =
-                std::strtoull(seedPart.c_str(), &end, 10);
-            bool ok = !seedPart.empty() && end && !*end;
-            if (ok && !faultPart.empty()) {
-                unsigned long long n =
-                    std::strtoull(faultPart.c_str(), &end, 10);
-                ok = end && !*end && n > 0;
-                if (ok)
-                    opts.chaosFaults = n;
-            } else if (ok && faultPart.empty() &&
-                       v->find(',') != std::string::npos) {
-                ok = false; // "--chaos 1," is malformed
-            }
-            if (!ok) {
+            auto seed = parseUnsigned(seedPart);
+            if (!seed || !faults) {
                 error = "bad --chaos value '" + *v + "'";
                 return std::nullopt;
             }
-            opts.chaosSeed = seed;
+            opts.chaosSeed = *seed;
+            opts.chaosFaults = *faults;
         } else {
             error = "unknown option '" + a + "'";
             return std::nullopt;

@@ -638,7 +638,7 @@ RunCache::Impl::ensureTrace(RunCache &cache, const Workload &w,
                     return path;
                 if (rep.status == trace::TraceFileStatus::BadVersion) {
                     // An intact file from another format generation is
-                    // migration churn, not corruption; count it apart
+                    // a format upgrade, not corruption; count it apart
                     // so metrics can tell the two stories.
                     lvp_warn("trace cache: '%s' is format v%u, "
                              "regenerating as v%u",

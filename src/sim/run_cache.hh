@@ -182,7 +182,7 @@ class RunCache
         std::uint64_t traceReplays = 0; ///< trace files read through
         std::uint64_t traceInvalid = 0; ///< bad traces regenerated
         /** Intact traces from another format version regenerated
-         *  (migration churn, kept apart from corruption). */
+         *  (format upgrades, kept apart from corruption). */
         std::uint64_t traceFormatUpgrade = 0;
     };
 

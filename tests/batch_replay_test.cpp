@@ -170,10 +170,12 @@ TEST(BatchReplay, BatchedReplayIdenticalToRecordAtATime)
 
 TEST(BatchReplay, BatchBoundaryStraddlingTracesIdentical)
 {
-    // Counts chosen around the replay batch size (4096 records) and
-    // the reader's block buffer: one short, one exact multiple, one
-    // straddling, and one spanning several batches with a tail.
-    const std::uint64_t counts[] = {1, 4095, 4096, 4097, 9000};
+    // Counts chosen around the block size (TraceBlockRecords, 8192
+    // records; replay() hands each decoded block over as one batch):
+    // one short, one exact multiple, one straddling, and one spanning
+    // a full block and a partial tail.
+    static_assert(trace::TraceBlockRecords == 8192);
+    const std::uint64_t counts[] = {1, 8191, 8192, 8193, 9000};
     auto prog = demoProgram();
     for (std::uint64_t want : counts) {
         TempPath tmp("lvplib_batch_straddle.trace");

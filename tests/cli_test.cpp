@@ -80,6 +80,22 @@ TEST(Cli, RejectsBadInput)
     EXPECT_FALSE(parse({"--codegen", "mips"}, &err));
 }
 
+TEST(Cli, ScaleIsAStrictNumber)
+{
+    // "2x" used to run at scale 2; a scale is a whole number or an
+    // error, like every lvpbench number.
+    std::string err;
+    EXPECT_FALSE(parse({"--scale", "2x", "--bench", "grep", "--machine",
+                        "none"},
+                       &err));
+    EXPECT_NE(err.find("bad scale '2x'"), std::string::npos) << err;
+    EXPECT_FALSE(parse({"--scale", "-2"}, &err));
+    EXPECT_FALSE(parse({"--scale", "+2"}, &err));
+    EXPECT_FALSE(parse({"--scale", " 2"}, &err));
+    EXPECT_FALSE(parse({"--scale", "4294967296"}, &err));
+    EXPECT_EQ(parse({"--scale", "4294967295"})->scale, 4294967295u);
+}
+
 TEST(Cli, HelpAndListShortCircuit)
 {
     std::ostringstream os;
@@ -153,7 +169,6 @@ TEST(BenchCli, Defaults)
     EXPECT_FALSE(o->list);
     EXPECT_TRUE(o->traceCache);
     EXPECT_FALSE(o->prune);
-    EXPECT_FALSE(o->migrate);
     EXPECT_FALSE(o->help);
     EXPECT_TRUE(o->metricsOut.empty());
     EXPECT_TRUE(o->timelineOut.empty());
@@ -196,12 +211,17 @@ TEST(BenchCli, ListHelpAndVerify)
     auto o = parseBench({"--verify-trace-cache", "/tmp/traces"});
     ASSERT_TRUE(o);
     EXPECT_EQ(o->verifyDir, "/tmp/traces");
-    EXPECT_FALSE(o->migrate);
-    o = parseBench({"--verify-trace-cache", "/tmp/traces", "--prune",
-                    "--migrate"});
+    EXPECT_FALSE(o->prune);
+    o = parseBench({"--verify-trace-cache", "/tmp/traces", "--prune"});
     ASSERT_TRUE(o);
     EXPECT_TRUE(o->prune);
-    EXPECT_TRUE(o->migrate);
+
+    // There is one trace format, so nothing is left to migrate.
+    std::string err;
+    EXPECT_FALSE(parseBench(
+        {"--verify-trace-cache", "/tmp/traces", "--migrate"}, &err));
+    EXPECT_NE(err.find("unknown option '--migrate'"), std::string::npos)
+        << err;
 }
 
 TEST(BenchCli, ChaosRetriesAndWatchdog)
@@ -236,6 +256,44 @@ TEST(BenchCli, ChaosRetriesAndWatchdog)
     EXPECT_FALSE(parseBench({"--watchdog-ms", "5s"}, &err));
     EXPECT_NE(err.find("bad --watchdog-ms value '5s'"),
               std::string::npos);
+}
+
+TEST(BenchCli, NumbersRejectSignsWhitespaceAndOverflow)
+{
+    // Every number goes through one strict parser: a sign, blank or
+    // out-of-range token is an error, never wrapped or clamped.
+    std::string err;
+    EXPECT_FALSE(parseBench({"--list", "--watchdog-ms", "-1"}, &err));
+    EXPECT_NE(err.find("bad --watchdog-ms value '-1'"),
+              std::string::npos)
+        << err;
+    EXPECT_FALSE(parseBench(
+        {"--list", "--watchdog-ms", "99999999999999999999999"}, &err));
+    EXPECT_NE(err.find("bad --watchdog-ms value"), std::string::npos)
+        << err;
+    EXPECT_FALSE(parseBench({"--list", "--chaos", "-1"}, &err));
+    EXPECT_NE(err.find("bad --chaos value '-1'"), std::string::npos)
+        << err;
+    EXPECT_FALSE(parseBench({"--list", "--chaos", "1,-5"}, &err));
+    EXPECT_NE(err.find("bad --chaos value '1,-5'"), std::string::npos)
+        << err;
+    EXPECT_FALSE(parseBench({"--list", "--jobs", "+4"}, &err));
+    EXPECT_NE(err.find("bad --jobs value '+4'"), std::string::npos)
+        << err;
+    EXPECT_FALSE(parseBench(
+        {"--list", "--jobs", "-18446744073709551612"}, &err));
+    EXPECT_NE(err.find("bad --jobs value"), std::string::npos) << err;
+    EXPECT_FALSE(parseBench({"--jobs", " 4"}, &err));
+    EXPECT_FALSE(parseBench({"--scale", "4 "}, &err));
+    EXPECT_FALSE(parseBench({"--retries", ""}, &err));
+
+    // The largest representable values still parse.
+    auto o = parseBench({"--watchdog-ms", "18446744073709551615",
+                         "--chaos", "18446744073709551615,1"});
+    ASSERT_TRUE(o) << err;
+    EXPECT_EQ(o->watchdogMs, 18446744073709551615ull);
+    EXPECT_EQ(*o->chaosSeed, 18446744073709551615ull);
+    EXPECT_EQ(o->chaosFaults, 1u);
 }
 
 TEST(BenchCli, UnknownOptionNamesTheToken)
@@ -318,7 +376,7 @@ TEST(BenchCli, UsageMentionsEveryFlag)
     for (const char *flag :
          {"--filter", "--jobs", "--shards", "--scale", "--json",
           "--list",
-          "--no-trace-cache", "--prune", "--migrate",
+          "--no-trace-cache", "--prune",
           "--verify-trace-cache", "--metrics-out", "--timeline-out",
           "--check", "--rel-tol", "--chaos", "--retries",
           "--watchdog-ms"})

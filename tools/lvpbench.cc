@@ -24,7 +24,7 @@
  *   lvpbench --check bench/golden/metrics.json [--rel-tol X]
  *                             # diff this run against the golden
  *                             # baseline; exit 3 on drift
- *   lvpbench --verify-trace-cache DIR [--prune] [--migrate]
+ *   lvpbench --verify-trace-cache DIR [--prune]
  *                             # scan a trace directory and exit
  *   lvpbench --chaos 1        # seeded fault-injection campaign
  *   lvpbench --retries 3      # extra attempts per failed experiment
@@ -38,12 +38,11 @@
  * regenerated automatically and counted as trace_invalid in the
  * run-cache stats. --verify-trace-cache reports each file's status
  * without running any experiment, including each file's format
- * version and compression ratio (v3 stores column-major
- * delta-compressed blocks, v2 the legacy flat records); with --prune,
- * invalid trace files and leftover *.tmp.* files are deleted, and
- * with --migrate, valid v2 files are rewritten as v3 in place. An
- * intact cache file from an older format version is regenerated and
- * counted as trace_format_upgrade, separate from trace_invalid.
+ * version and compression ratio; with --prune, invalid trace files
+ * and leftover *.tmp.* files are deleted. There is one format
+ * version: an intact cache file from any other version is invalid
+ * to --verify-trace-cache, and a run regenerates it and counts it
+ * as trace_format_upgrade, separate from trace_invalid.
  *
  * Exit status: 0 success; 1 usage or file errors; 2 when
  * --verify-trace-cache finds an invalid trace; 3 when --check finds
@@ -145,16 +144,16 @@ usage(int code)
  * version, and compression ratio, and (with @p prune) delete the
  * invalid ones plus abandoned temp files. Temps are age-gated
  * (trace::TempPruneAgeSeconds): a young temp may belong to a live
- * concurrent writer and is never deleted. With @p migrate, valid v2
- * files are rewritten as v3 in place (atomic temp + rename).
- * Fingerprints are reported but not matched against a program: the
- * full stale-program check happens when the run-cache reuses a file.
+ * concurrent writer and is never deleted. A trace of another format
+ * version is reported invalid (bad-version). Fingerprints are
+ * reported but not matched against a program: the full stale-program
+ * check happens when the run-cache reuses a file.
  * @return 0 when every trace verifies, 2 otherwise.
  */
 int
-verifyTraceCacheDir(const std::string &dir, bool prune, bool migrate)
+verifyTraceCacheDir(const std::string &dir, bool prune)
 {
-    auto scan = trace::scanTraceDir(dir, prune, migrate);
+    auto scan = trace::scanTraceDir(dir, prune);
     if (!scan.ok) {
         std::cerr << "lvpbench: cannot read directory '" << dir
                   << "': " << scan.error << '\n';
@@ -172,8 +171,7 @@ verifyTraceCacheDir(const std::string &dir, bool prune, bool migrate)
             std::cout << "ok       " << e.name << "  "
                       << e.report.records << " records  v"
                       << e.report.version << "  " << ratio
-                      << "  fp " << fp
-                      << (e.migrated ? "  [migrated]" : "") << '\n';
+                      << "  fp " << fp << '\n';
             continue;
         }
         std::cout << "INVALID  " << e.name << "  "
@@ -197,10 +195,6 @@ verifyTraceCacheDir(const std::string &dir, bool prune, bool migrate)
               << (scan.prunedCount
                       ? ", " + std::to_string(scan.prunedCount) +
                             " pruned"
-                      : "")
-              << (scan.migratedCount
-                      ? ", " + std::to_string(scan.migratedCount) +
-                            " migrated"
                       : "")
               << '\n';
     return scan.invalid == 0 ? 0 : 2;
@@ -299,8 +293,7 @@ main(int argc, char **argv)
         return usage(0);
 
     if (!bench.verifyDir.empty())
-        return verifyTraceCacheDir(bench.verifyDir, bench.prune,
-                                   bench.migrate);
+        return verifyTraceCacheDir(bench.verifyDir, bench.prune);
 
     if (bench.list) {
         sim::writeSuiteList(std::cout);
