@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/lvp_unit.hh"
 #include "isa/program.hh"
@@ -19,7 +20,9 @@
 #include "trace/columnar.hh"
 #include "trace/trace_file.hh"
 #include "trace/trace_stats.hh"
+#include "uarch/alpha21164.hh"
 #include "uarch/machine_config.hh"
+#include "uarch/ppc620.hh"
 #include "util/rng.hh"
 #include "vm/interpreter.hh"
 #include "vm/memory.hh"
@@ -153,38 +156,68 @@ BENCHMARK(BM_InterpreterDispatch)
     ->Arg(static_cast<int>(vm::DispatchMode::ThreadedGoto))
     ->Unit(benchmark::kMillisecond);
 
-/** Out-of-order timing-model throughput. */
-void
-BM_Ppc620ModelThroughput(benchmark::State &state)
+/** In-memory capture of an annotated trace. */
+struct RecordVector : trace::TraceSink
 {
-    auto prog = workloads::findWorkload("grep").build(
-        workloads::CodeGen::Ppc, 2);
+    std::vector<trace::TraceRecord> recs;
+
+    void
+    consume(const trace::TraceRecord &rec) override
+    {
+        recs.push_back(rec);
+    }
+};
+
+/**
+ * Timing-model throughput alone: grep (scale 2) is interpreted and
+ * annotated by a Simple LVP unit once, outside the timed loop, and
+ * each iteration replays the records into a fresh LVP-enabled model.
+ */
+template <typename Model, typename Config>
+void
+replayIntoModel(benchmark::State &state, workloads::CodeGen cg,
+                const Config &mc)
+{
+    auto prog = workloads::findWorkload("grep").build(cg, 2);
+    RecordVector trace;
+    {
+        core::LvpAnnotator annot(core::LvpConfig::simple(), trace);
+        vm::Interpreter interp(prog);
+        interp.run(&annot);
+        annot.finish();
+    }
     std::uint64_t instrs = 0;
     for (auto _ : state) {
-        auto r = sim::runPpc620(prog, uarch::Ppc620Config::base620(),
-                                core::LvpConfig::simple());
-        instrs += r.timing.instructions;
-        benchmark::DoNotOptimize(r.timing.cycles);
+        Model model(mc, true);
+        model.consumeBatch(trace.recs);
+        model.finish();
+        instrs += model.stats().instructions;
+        benchmark::DoNotOptimize(model.stats().cycles);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(instrs));
 }
-BENCHMARK(BM_Ppc620ModelThroughput)->Unit(benchmark::kMillisecond);
 
-/** In-order timing-model throughput. */
+/** Out-of-order model: Arg 0 is the 620, Arg 1 the 620+. */
+void
+BM_Ppc620ModelThroughput(benchmark::State &state)
+{
+    replayIntoModel<uarch::Ppc620Model>(
+        state, workloads::CodeGen::Ppc,
+        state.range(0) == 0 ? uarch::Ppc620Config::base620()
+                            : uarch::Ppc620Config::plus620());
+}
+BENCHMARK(BM_Ppc620ModelThroughput)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+/** In-order model (the 21164). */
 void
 BM_Alpha21164ModelThroughput(benchmark::State &state)
 {
-    auto prog = workloads::findWorkload("grep").build(
-        workloads::CodeGen::Alpha, 2);
-    std::uint64_t instrs = 0;
-    for (auto _ : state) {
-        auto r = sim::runAlpha21164(prog,
-                                    uarch::AlphaConfig::base21164(),
-                                    core::LvpConfig::simple());
-        instrs += r.timing.instructions;
-        benchmark::DoNotOptimize(r.timing.cycles);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(instrs));
+    replayIntoModel<uarch::Alpha21164Model>(
+        state, workloads::CodeGen::Alpha,
+        uarch::AlphaConfig::base21164());
 }
 BENCHMARK(BM_Alpha21164ModelThroughput)->Unit(benchmark::kMillisecond);
 

@@ -1,5 +1,6 @@
 #include "core/value_predictor.hh"
 
+#include <algorithm>
 #include <memory>
 
 #include "core/fcm_unit.hh"
@@ -78,11 +79,15 @@ PredictorAnnotator::consume(const trace::TraceRecord &rec)
 void
 PredictorAnnotator::consumeBatch(std::span<const trace::TraceRecord> recs)
 {
-    batch_.assign(recs.begin(), recs.end());
-    for (trace::TraceRecord &out : batch_)
-        annotate(out);
-    downstream_.consumeBatch(std::span<const trace::TraceRecord>(
-        batch_.data(), batch_.size()));
+    while (!recs.empty()) {
+        auto chunk = recs.first(std::min(recs.size(), ChunkRecords));
+        recs = recs.subspan(chunk.size());
+        batch_.assign(chunk.begin(), chunk.end());
+        for (trace::TraceRecord &out : batch_)
+            annotate(out);
+        downstream_.consumeBatch(std::span<const trace::TraceRecord>(
+            batch_.data(), batch_.size()));
+    }
 }
 
 } // namespace lvplib::core

@@ -120,6 +120,11 @@ class PredictorAnnotator : public trace::TraceSink
     {}
 
   private:
+    /** Records annotated and forwarded per downstream batch: the
+     *  copy buffer stays small (74 KB) whatever the producer's batch
+     *  size, here a whole 8Ki-record trace block. */
+    static constexpr std::size_t ChunkRecords = 1024;
+
     /** Run the unit over @p out, stamping its pred in place. */
     void annotate(trace::TraceRecord &out);
 

@@ -54,7 +54,7 @@ Cache::access(Addr addr)
                         config_.assoc];
     for (std::uint32_t w = 0; w < config_.assoc; ++w) {
         Line &line = set[w];
-        if (line.valid && line.tag == tag) {
+        if (line.valid() && line.tag == tag) {
             line.lastUse = clock_;
             ++hits_;
             return true;
@@ -64,7 +64,7 @@ Cache::access(Addr addr)
     Line *victim = &set[0];
     for (std::uint32_t w = 0; w < config_.assoc; ++w) {
         Line &line = set[w];
-        if (!line.valid) {
+        if (!line.valid()) {
             victim = &line;
             break;
         }
@@ -72,7 +72,6 @@ Cache::access(Addr addr)
             victim = &line;
     }
     ++misses_;
-    victim->valid = true;
     victim->tag = tag;
     victim->lastUse = clock_;
     return false;
@@ -85,7 +84,7 @@ Cache::probe(Addr addr) const
     const Line *set = &lines_[static_cast<std::size_t>(setIndex(addr)) *
                               config_.assoc];
     for (std::uint32_t w = 0; w < config_.assoc; ++w)
-        if (set[w].valid && set[w].tag == tag)
+        if (set[w].valid() && set[w].tag == tag)
             return true;
     return false;
 }
@@ -97,8 +96,8 @@ Cache::invalidate(Addr addr)
     Line *set = &lines_[static_cast<std::size_t>(setIndex(addr)) *
                         config_.assoc];
     for (std::uint32_t w = 0; w < config_.assoc; ++w)
-        if (set[w].valid && set[w].tag == tag)
-            set[w].valid = false;
+        if (set[w].valid() && set[w].tag == tag)
+            set[w].lastUse = 0;
 }
 
 double

@@ -61,8 +61,8 @@ class Cache
     struct Line
     {
         Addr tag = 0;
-        bool valid = false;
-        std::uint64_t lastUse = 0; ///< LRU timestamp
+        std::uint64_t lastUse = 0; ///< LRU stamp (from 1); 0 = invalid
+        bool valid() const { return lastUse != 0; }
     };
 
     std::uint32_t setIndex(Addr addr) const;

@@ -1,6 +1,5 @@
 #include "sim/cli.hh"
 
-#include <cstdlib>
 #include <limits>
 #include <string_view>
 
@@ -323,13 +322,12 @@ parseBenchCli(const std::vector<std::string> &args, std::string &error)
             auto *v = value();
             if (!v)
                 return std::nullopt;
-            char *end = nullptr;
-            double x = std::strtod(v->c_str(), &end);
-            if (v->empty() || !end || *end || !(x >= 0.0)) {
+            auto x = parseNonNegative(*v);
+            if (!x) {
                 error = "bad --rel-tol value '" + *v + "'";
                 return std::nullopt;
             }
-            opts.relTol = x;
+            opts.relTol = *x;
         } else if (a == "--retries") {
             auto n = unsignedValue(0, 8);
             if (!n)

@@ -75,22 +75,60 @@ Ppc620Model::Ppc620Model(const Ppc620Config &config, bool lvp_enabled)
                             unitCount(config, FuType::BRU))},
       gprRename_(config.gprRename), fprRename_(config.fprRename),
       completionBuf_(config.completionEntries),
-      banks_(config.mem.banks),
+      banks_(config.mem.banks), fetchBufDispatch_(config.fetchBuffer),
       dispatchSlots_(config.dispatchWidth),
       memDispatchSlots_(config.memOpsPerCycle),
       completeSlots_(config.completeWidth)
-{}
+{
+    lvp_assert(config.fetchBuffer > 0, "620 fetch buffer has no entries");
+}
+
+void
+Ppc620Model::StoreQueue::count(Addr begin, Addr end, int delta)
+{
+    const std::size_t first = bucket(begin);
+    const std::size_t last = bucket(end - 1);
+    blockStores_[first] = static_cast<std::uint8_t>(
+        blockStores_[first] + delta);
+    if (last != first)
+        blockStores_[last] = static_cast<std::uint8_t>(
+            blockStores_[last] + delta);
+}
+
+void
+Ppc620Model::StoreQueue::push(Addr begin, Addr end, Cycle ready)
+{
+    if (size_ == Size)
+        count(begin_[next_], end_[next_], -1);
+    else
+        ++size_;
+    begin_[next_] = begin;
+    end_[next_] = end;
+    ready_[next_] = ready;
+    count(begin, end, +1);
+    next_ = (next_ + 1) % Size;
+}
+
+Cycle
+Ppc620Model::StoreQueue::forwardReady(Addr begin, Addr end) const
+{
+    if (blockStores_[bucket(begin)] == 0 &&
+        blockStores_[bucket(end - 1)] == 0)
+        return 0;
+    Cycle fwd = 0;
+    for (std::size_t i = 0; i < size_; ++i) {
+        if (begin_[i] < end && begin < end_[i])
+            fwd = std::max(fwd, ready_[i] + 1);
+    }
+    return fwd;
+}
 
 Cycle
 Ppc620Model::fetchCycle()
 {
     // A fetch-buffer entry frees when the instruction occupying it
     // dispatches.
-    Cycle buf_free = 0;
-    if (fetchBufDispatch_.size() >= config_.fetchBuffer)
-        buf_free = fetchBufDispatch_.front();
-
-    Cycle f = std::max(nextFetch_, buf_free);
+    Cycle f = std::max(nextFetch_, fetchBufDispatch_[fetchBufNext_]);
     if (f > nextFetch_) {
         nextFetch_ = f;
         fetchCount_ = 0;
@@ -135,9 +173,9 @@ Ppc620Model::dispatchCycle(const Instruction &inst, Cycle fetch)
         memDispatchSlots_.claim(d);
     lastDispatch_ = d;
 
-    fetchBufDispatch_.push_back(d);
-    if (fetchBufDispatch_.size() > config_.fetchBuffer)
-        fetchBufDispatch_.pop_front();
+    fetchBufDispatch_[fetchBufNext_] = d;
+    if (++fetchBufNext_ == fetchBufDispatch_.size())
+        fetchBufNext_ = 0;
     return d;
 }
 
@@ -190,20 +228,17 @@ Ppc620Model::loadDataReturn(const trace::TraceRecord &rec, Cycle issue,
             ret += wait > access ? wait - access : 0;
             missEnds_.pop_front();
         }
-        missEnds_.push_back(ret);
-        std::sort(missEnds_.begin(), missEnds_.end());
+        missEnds_.insert(
+            std::upper_bound(missEnds_.begin(), missEnds_.end(), ret),
+            ret);
     }
 
     // Store-to-load forwarding: a younger load of bytes written by an
     // in-flight older store gets the data once the store's data is
     // ready.
-    const Addr loadEnd = rec.effAddr + rec.inst->accessSize();
-    for (const auto &st : storeQueue_) {
-        if (st.addr < loadEnd && rec.effAddr < st.addr + st.size) {
-            ret = std::max(ret, st.ready + 1);
-        }
-    }
-    return ret;
+    return std::max(ret, storeQueue_.forwardReady(
+                             rec.effAddr,
+                             rec.effAddr + rec.inst->accessSize()));
 }
 
 void
@@ -314,10 +349,8 @@ Ppc620Model::consume(const trace::TraceRecord &rec)
         eligible = std::max({issue + 1, data_ready, bound_verify});
         rs_free = std::max(issue + lat.issue, bound_verify);
 
-        storeQueue_.push_back({rec.effAddr, inst.accessSize(),
-                               std::max(issue, data_ready)});
-        if (storeQueue_.size() > 64)
-            storeQueue_.pop_front();
+        storeQueue_.push(rec.effAddr, rec.effAddr + inst.accessSize(),
+                         std::max(issue, data_ready));
     } else {
         // ALU / branch: may issue speculatively on forwarded values.
         Cycle issue_spec = fus_[fu_idx].book(std::max(d + 1, spec_ready),

@@ -28,6 +28,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <vector>
 
 #include "mem/hierarchy.hh"
 #include "trace/trace.hh"
@@ -113,11 +114,43 @@ class Ppc620Model : public trace::TraceSink
         Cycle verify = 0; ///< pending verification time (0 = none)
     };
 
-    struct StoreEntry
+    /**
+     * The last 64 stores, which a younger load checks for forwarding,
+     * as columns of a fixed ring. A count of the ring's stores per
+     * hashed 8-byte block lets a load that shares no block with any
+     * of them (most loads) skip the scan. An access of at most 8
+     * bytes touches its first and last block only, so any overlap
+     * shares one of those.
+     */
+    class StoreQueue
     {
-        Addr addr;
-        unsigned size;
-        Cycle ready; ///< cycle its data can forward to a younger load
+      public:
+        /** Record a store of [@p begin, @p end) forwardable from
+         *  @p ready, replacing the oldest once the ring is full. */
+        void push(Addr begin, Addr end, Cycle ready);
+
+        /** One past the latest ready cycle among stores overlapping
+         *  [@p begin, @p end), or 0 if none does. */
+        Cycle forwardReady(Addr begin, Addr end) const;
+
+      private:
+        static constexpr std::size_t Size = 64;
+        static constexpr std::size_t FilterSize = 1024;
+
+        static std::size_t
+        bucket(Addr a)
+        {
+            return (a >> 3) & (FilterSize - 1);
+        }
+
+        void count(Addr begin, Addr end, int delta);
+
+        std::array<Addr, Size> begin_{};
+        std::array<Addr, Size> end_{};
+        std::array<Cycle, Size> ready_{};
+        std::array<std::uint8_t, FilterSize> blockStores_{};
+        std::size_t next_ = 0; ///< slot the next store overwrites
+        std::size_t size_ = 0;
     };
 
     Cycle fetchCycle();
@@ -140,7 +173,11 @@ class Ppc620Model : public trace::TraceSink
     // Front end.
     Cycle nextFetch_ = 0;
     unsigned fetchCount_ = 0;
-    std::deque<Cycle> fetchBufDispatch_; ///< dispatch cycles, buffer-sized
+    /** Dispatch cycles of the last fetchBuffer instructions, as a
+     *  ring whose next slot to overwrite holds the oldest (0 until
+     *  the buffer has filled once). */
+    std::vector<Cycle> fetchBufDispatch_;
+    std::size_t fetchBufNext_ = 0;
 
     // Dispatch / completion bandwidth.
     SlotCounter dispatchSlots_;
@@ -151,9 +188,9 @@ class Ppc620Model : public trace::TraceSink
 
     // Dependence tracking.
     std::array<RegInfo, isa::NumRegs> regs_{};
-    std::deque<StoreEntry> storeQueue_;
+    StoreQueue storeQueue_;
 
-    // Outstanding-miss (MSHR) end times.
+    // Outstanding-miss (MSHR) end times, ascending.
     std::deque<Cycle> missEnds_;
 
     OooStats stats_;

@@ -16,6 +16,7 @@
 #define LVPLIB_UARCH_SCHED_HH
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -29,10 +30,12 @@ namespace lvplib::uarch
  * Busy-interval calendar for one functional-unit instance.
  *
  * Intervals live in a vector sorted by start cycle. Issue cycles are
- * almost always non-decreasing, so book() nearly always appends —
- * no per-booking node allocation, and lookups are a binary search
- * over a short contiguous array (the calendar is pruned to a sliding
- * window by the owning FuBank).
+ * almost always non-decreasing, so book() nearly always appends and
+ * queries land at the newest end: lookups scan backward from the last
+ * interval, which visits only the intervals that start after the
+ * query (about none on average), where a binary search would pay
+ * log2 of the whole calendar (over a thousand intervals between the
+ * owning FuBank's prunes).
  */
 class FuPipe
 {
@@ -42,6 +45,9 @@ class FuPipe
     Cycle
     earliest(Cycle t, unsigned dur) const
     {
+        // Below the horizon, pruned intervals would read as idle and
+        // the answer would depend on when pruning ran.
+        lvp_dassert(t >= horizon_, "FU query below the prune horizon");
         Cycle cand = t;
         auto it = upperBound(cand);
         if (it != busy_.begin()) {
@@ -75,29 +81,27 @@ class FuPipe
         while (it != busy_.end() && it->second <= before)
             ++it;
         busy_.erase(busy_.begin(), it);
+        horizon_ = std::max(horizon_, before);
     }
+
+    /** Intervals currently kept (booked and not yet pruned). */
+    std::size_t intervals() const { return busy_.size(); }
 
   private:
     using Interval = std::pair<Cycle, Cycle>;
 
-    /** First interval whose start is > @p t. */
+    /** First interval whose start is > @p t, found from the back. */
     std::vector<Interval>::const_iterator
     upperBound(Cycle t) const
     {
-        return std::upper_bound(
-            busy_.begin(), busy_.end(), t,
-            [](Cycle c, const Interval &iv) { return c < iv.first; });
-    }
-
-    std::vector<Interval>::iterator
-    upperBound(Cycle t)
-    {
-        return std::upper_bound(
-            busy_.begin(), busy_.end(), t,
-            [](Cycle c, const Interval &iv) { return c < iv.first; });
+        auto it = busy_.cend();
+        while (it != busy_.cbegin() && std::prev(it)->first > t)
+            --it;
+        return it;
     }
 
     std::vector<Interval> busy_;
+    Cycle horizon_ = 0; ///< highest cycle prune() has dropped below
 };
 
 /** A pool of identical FU instances (e.g. the 620's two SCFX units). */
@@ -171,24 +175,29 @@ class FuBank
  * A resource with @p capacity units, each claimed until a known
  * release cycle. earliestAvailable() is the first cycle a new claim
  * can coexist with previous ones. Only the largest @p capacity
- * release times can constrain, so older ones are discarded — the
- * live set is a bounded min-heap over a flat vector (no per-claim
- * node allocation; the heap never exceeds @p capacity entries).
+ * release times can constrain, so older ones are discarded.
+ *
+ * The kept release times sit in ascending order in a fixed ring, the
+ * smallest at its head. A claim evicts the smallest when
+ * the pool is full and inserts from the newest end, so a claim no
+ * earlier than every kept one (completion-buffer and rename claims,
+ * which follow in-order completion) is an append, and any other moves
+ * at most @p capacity - 1 entries.
  */
 class ResourcePool
 {
   public:
-    explicit ResourcePool(unsigned capacity) : cap_(capacity)
-    {
-        releases_.reserve(capacity);
-    }
+    explicit ResourcePool(unsigned capacity)
+        : cap_(capacity), mask_(std::bit_ceil(capacity) - 1),
+          ring_(std::bit_ceil(capacity))
+    {}
 
     Cycle
     earliestAvailable() const
     {
         if (cap_ == 0)
             return 0; // treated as unlimited
-        return releases_.size() < cap_ ? 0 : releases_.front();
+        return size_ < cap_ ? 0 : ring_[head_ & mask_];
     }
 
     void
@@ -196,29 +205,32 @@ class ResourcePool
     {
         if (cap_ == 0)
             return;
-        if (releases_.size() < cap_) {
-            releases_.push_back(release);
-            std::push_heap(releases_.begin(), releases_.end(), cmp_);
-            return;
+        if (size_ == cap_) {
+            // Full: the new release replaces the smallest kept one
+            // (which can no longer constrain anything) unless it is
+            // itself the smallest.
+            if (release <= ring_[head_ & mask_])
+                return;
+            ++head_;
+            --size_;
         }
-        // Full: the new release replaces the smallest kept one (which
-        // can no longer constrain anything) unless it is itself the
-        // smallest.
-        if (release <= releases_.front())
-            return;
-        std::pop_heap(releases_.begin(), releases_.end(), cmp_);
-        releases_.back() = release;
-        std::push_heap(releases_.begin(), releases_.end(), cmp_);
+        unsigned i = head_ + size_;
+        while (i != head_ && ring_[(i - 1) & mask_] > release) {
+            ring_[i & mask_] = ring_[(i - 1) & mask_];
+            --i;
+        }
+        ring_[i & mask_] = release;
+        ++size_;
     }
 
     unsigned capacity() const { return cap_; }
 
   private:
-    // Min-heap: the root is the smallest kept release time.
-    static constexpr auto cmp_ = [](Cycle a, Cycle b) { return a > b; };
-
     unsigned cap_;
-    std::vector<Cycle> releases_;
+    unsigned mask_;            ///< ring size (a power of two) - 1
+    unsigned head_ = 0;        ///< free-running index of the smallest
+    unsigned size_ = 0;
+    std::vector<Cycle> ring_;
 };
 
 /** Enforces at most @p width events per cycle, non-decreasing. */
@@ -264,14 +276,16 @@ class SlotCounter
  * cycles in which at least one conflict occurred (paper Figure 9).
  * Ring-buffered: assumes bookings stay within the horizon of the most
  * recent cycle seen, which holds for bounded-window pipelines.
+ *
+ * Each (cycle slot, bank) cell packs the occupancy flags with a tag
+ * naming which of the cycles sharing the slot (Horizon apart) they
+ * belong to, in 32 bits.
  */
 class BankTracker
 {
   public:
-    explicit BankTracker(unsigned banks, std::size_t horizon = 16384)
-        : banks_(banks), horizon_(horizon),
-          slots_(banks * horizon), stamp_(banks * horizon, NoCycle),
-          conflictStamp_(horizon, NoCycle)
+    explicit BankTracker(unsigned banks)
+        : banks_(banks), cells_(banks * Horizon), conflictTag_(Horizon)
     {}
 
     /**
@@ -328,32 +342,46 @@ class BankTracker
     unsigned banks() const { return banks_; }
 
   private:
-    static constexpr Cycle NoCycle = ~Cycle(0);
-    static constexpr std::uint8_t LoadBit = 1;
-    static constexpr std::uint8_t StoreBit = 2;
+    static constexpr unsigned HorizonBits = 14;
+    static constexpr std::size_t Horizon = std::size_t(1) << HorizonBits;
+    static constexpr std::uint32_t LoadBit = 1;
+    static constexpr std::uint32_t StoreBit = 2;
+    static constexpr std::uint32_t FlagMask = LoadBit | StoreBit;
 
-    std::size_t
-    slot(Cycle c, unsigned bank) const
+    /** Tags run from 1 (0 marks a never-written cell) and must fit
+     *  beside the flags, which bounds the cycles this can track. */
+    static constexpr Cycle MaxCycle =
+        (Cycle(1) << (32 - 2 + HorizonBits)) - Horizon;
+
+    /** The tag of cycle @p c: its epoch (c / Horizon) + 1, shifted
+     *  past the flag bits. */
+    static std::uint32_t
+    tag(Cycle c)
     {
-        return (c % horizon_) * banks_ + bank;
+        lvp_assert(c < MaxCycle, "bank booking beyond the tracked range");
+        return static_cast<std::uint32_t>((c >> HorizonBits) + 1) << 2;
     }
 
-    std::uint8_t
+    std::size_t
+    cell(Cycle c, unsigned bank) const
+    {
+        return (c & (Horizon - 1)) * banks_ + bank;
+    }
+
+    std::uint32_t
     flags(Cycle c, unsigned bank) const
     {
-        std::size_t s = slot(c, bank);
-        return stamp_[s] == c ? slots_[s] : 0;
+        std::uint32_t v = cells_[cell(c, bank)];
+        return (v & ~FlagMask) == tag(c) ? v & FlagMask : 0;
     }
 
     void
-    orFlags(Cycle c, unsigned bank, std::uint8_t bits)
+    orFlags(Cycle c, unsigned bank, std::uint32_t bits)
     {
-        std::size_t s = slot(c, bank);
-        if (stamp_[s] != c) {
-            stamp_[s] = c;
-            slots_[s] = 0;
-        }
-        slots_[s] |= bits;
+        std::uint32_t &v = cells_[cell(c, bank)];
+        if ((v & ~FlagMask) != tag(c))
+            v = tag(c);
+        v |= bits;
     }
 
     bool loadBusy(Cycle c, unsigned b) const
@@ -367,18 +395,17 @@ class BankTracker
     void
     markConflict(Cycle c)
     {
-        std::size_t s = c % horizon_;
-        if (conflictStamp_[s] != c) {
-            conflictStamp_[s] = c;
+        std::uint32_t &v = conflictTag_[c & (Horizon - 1)];
+        if (v != tag(c)) {
+            v = tag(c);
             ++conflictCycles_;
         }
     }
 
     unsigned banks_;
-    std::size_t horizon_;
-    std::vector<std::uint8_t> slots_;
-    std::vector<Cycle> stamp_;
-    std::vector<Cycle> conflictStamp_;
+    std::vector<std::uint32_t> cells_;       ///< tag | flags per slot, bank
+    std::vector<std::uint32_t> conflictTag_; ///< tag of each slot's
+                                             ///< last conflict cycle
     std::uint64_t conflictCycles_ = 0;
 };
 

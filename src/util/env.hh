@@ -12,6 +12,7 @@
 #define LVPLIB_UTIL_ENV_HH
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -36,6 +37,25 @@ parseUnsigned(std::string_view s, unsigned long long min = 0,
     const char *end = s.data() + s.size();
     auto [ptr, ec] = std::from_chars(s.data(), end, v);
     if (ec != std::errc() || ptr != end || v < min || v > max)
+        return std::nullopt;
+    return v;
+}
+
+/**
+ * Parse @p s as a whole finite, non-negative decimal number (a
+ * tolerance, say): no sign, no whitespace, no trailing characters,
+ * and no inf, nan or out-of-range exponent such as 1e999.
+ *
+ * @return The value, or std::nullopt when @p s is anything else.
+ */
+inline std::optional<double>
+parseNonNegative(std::string_view s)
+{
+    double v = 0;
+    const char *end = s.data() + s.size();
+    auto [ptr, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc() || ptr != end || !std::isfinite(v) ||
+        std::signbit(v))
         return std::nullopt;
     return v;
 }

@@ -346,6 +346,22 @@ TEST(BenchCli, MalformedValuesNameTheToken)
     EXPECT_FALSE(parseBench({"--rel-tol", "-0.5"}, &err));
 }
 
+TEST(BenchCli, RelTolMustBeFiniteAndNonNegative)
+{
+    // An infinite tolerance would pass any drift in --check.
+    std::string err;
+    for (const char *bad : {"inf", "nan", "1e999", " 1e-6", "1e-6x"}) {
+        EXPECT_FALSE(parseBench({"--rel-tol", bad}, &err)) << bad;
+        EXPECT_NE(err.find(std::string("bad --rel-tol value '") + bad +
+                           "'"),
+                  std::string::npos)
+            << bad;
+    }
+    auto o = parseBench({"--rel-tol", "0"}, &err);
+    ASSERT_TRUE(o);
+    EXPECT_EQ(o->relTol, 0.0);
+}
+
 TEST(BenchCli, ListEnumeratesExperimentsAndPredictors)
 {
     // lvpbench --list prints this: one tab-separated line per

@@ -235,6 +235,17 @@ TEST(EnvTest, EnvUnsignedParsesStrictly)
     EXPECT_FALSE(lvplib::envUnsigned("LVPLIB_TEST_ENV").has_value());
 }
 
+TEST(EnvTest, ParseNonNegativeIsStrict)
+{
+    EXPECT_EQ(lvplib::parseNonNegative("0.01"), 0.01);
+    EXPECT_EQ(lvplib::parseNonNegative("1e-6"), 1e-6);
+    EXPECT_EQ(lvplib::parseNonNegative("0"), 0.0);
+    for (const char *bad :
+         {"", "inf", "infinity", "nan", "1e999", "-0.5", "-0", "+1",
+          " 1e-6", "1e-6 ", "1e-6x", "0x1p-3"})
+        EXPECT_FALSE(lvplib::parseNonNegative(bad).has_value()) << bad;
+}
+
 /** Render one experiment's table exactly as the bench binary would. */
 std::string
 renderFig1()

@@ -1,15 +1,22 @@
 /**
  * @file
  * Unit tests for the scheduling primitives (FU calendars, resource
- * pools, slot counters, bank tracking) and the branch predictor.
+ * pools, slot counters, bank tracking) and the branch predictor, with
+ * the calendar and the pool checked against their earlier
+ * implementations as oracles.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "isa/program.hh"
 #include "trace/trace.hh"
 #include "uarch/bpred.hh"
 #include "uarch/sched.hh"
+#include "util/rng.hh"
 
 namespace lvplib::uarch
 {
@@ -43,9 +50,23 @@ TEST(FuPipe, PruneDropsOldIntervals)
     p.book(1, 1);
     p.book(100, 1);
     p.prune(50);
-    EXPECT_EQ(p.earliest(1, 1), 1u) << "old interval pruned";
+    EXPECT_EQ(p.intervals(), 1u) << "old interval pruned";
+    EXPECT_EQ(p.earliest(50, 1), 50u) << "idle from the horizon on";
     EXPECT_EQ(p.earliest(100, 1), 101u) << "recent interval kept";
 }
+
+#ifdef LVPLIB_DEVELOPER_CHECKS
+TEST(FuPipeDeathTest, QueryBelowPruneHorizonPanics)
+{
+    // Below the horizon a pruned interval would read as idle, so the
+    // answer would depend on when pruning ran.
+    FuPipe p;
+    p.book(1, 1);
+    p.book(100, 1);
+    p.prune(50);
+    EXPECT_DEATH(p.earliest(49, 1), "prune horizon");
+}
+#endif
 
 TEST(FuBank, PicksLeastLoadedInstance)
 {
@@ -83,6 +104,210 @@ TEST(ResourcePool, ZeroCapacityMeansUnlimited)
     ResourcePool p(0);
     p.claim(100);
     EXPECT_EQ(p.earliestAvailable(), 0u);
+}
+
+/*
+ * Oracles: the calendar and the pool as they were before the
+ * back-scan and the sorted ring, driven side by side with the current
+ * ones by seeded random sequences. Every return value must agree.
+ */
+namespace oracle
+{
+
+/** FuPipe with the original binary-search lookup. */
+class BinarySearchFuPipe
+{
+  public:
+    Cycle
+    earliest(Cycle t, unsigned dur) const
+    {
+        Cycle cand = t;
+        auto it = upperBound(t);
+        if (it != busy_.begin()) {
+            auto prev = std::prev(it);
+            if (prev->second > cand)
+                cand = prev->second;
+        }
+        while (it != busy_.end() && it->first < cand + dur) {
+            cand = it->second;
+            ++it;
+        }
+        return cand;
+    }
+
+    void
+    book(Cycle start, unsigned dur)
+    {
+        if (busy_.empty() || busy_.back().first < start) {
+            busy_.emplace_back(start, start + dur);
+            return;
+        }
+        busy_.insert(upperBound(start), {start, start + dur});
+    }
+
+    void
+    prune(Cycle before)
+    {
+        auto it = busy_.begin();
+        while (it != busy_.end() && it->second <= before)
+            ++it;
+        busy_.erase(busy_.begin(), it);
+    }
+
+    std::size_t intervals() const { return busy_.size(); }
+
+  private:
+    using Interval = std::pair<Cycle, Cycle>;
+
+    std::vector<Interval>::const_iterator
+    upperBound(Cycle t) const
+    {
+        return std::upper_bound(
+            busy_.begin(), busy_.end(), t,
+            [](Cycle c, const Interval &iv) { return c < iv.first; });
+    }
+
+    std::vector<Interval> busy_;
+};
+
+/** ResourcePool as a bounded min-heap of the kept release times. */
+class HeapResourcePool
+{
+  public:
+    explicit HeapResourcePool(unsigned capacity) : cap_(capacity) {}
+
+    Cycle
+    earliestAvailable() const
+    {
+        if (cap_ == 0)
+            return 0;
+        return releases_.size() < cap_ ? 0 : releases_.front();
+    }
+
+    void
+    claim(Cycle release)
+    {
+        if (cap_ == 0)
+            return;
+        if (releases_.size() < cap_) {
+            releases_.push_back(release);
+            std::push_heap(releases_.begin(), releases_.end(), cmp_);
+            return;
+        }
+        if (release <= releases_.front())
+            return;
+        std::pop_heap(releases_.begin(), releases_.end(), cmp_);
+        releases_.back() = release;
+        std::push_heap(releases_.begin(), releases_.end(), cmp_);
+    }
+
+  private:
+    static constexpr auto cmp_ = [](Cycle a, Cycle b) { return a > b; };
+
+    unsigned cap_;
+    std::vector<Cycle> releases_;
+};
+
+} // namespace oracle
+
+/**
+ * One seeded sequence of earliest/book/prune against both calendars.
+ * Queries trail a slowly advancing cursor by up to 64 cycles, so
+ * younger bookings fill gaps left before older ones; durations mix
+ * the pipelined 1 with the 620's long divides; every prune stays more
+ * than 64 cycles behind the cursor, as the owning FuBank's does.
+ *
+ * Counts the gap-filling bookings (before the newest one) in
+ * @p gap_fills.
+ */
+void
+checkCalendarAgainstOracle(std::uint64_t seed, unsigned ops,
+                           std::size_t &gap_fills)
+{
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    FuPipe fast;
+    oracle::BinarySearchFuPipe ref;
+    const unsigned long_durs[] = {2, 3, 18, 35};
+    Cycle cursor = 600, newest = 0;
+    gap_fills = 0;
+    for (unsigned i = 0; i < ops; ++i) {
+        // The cursor outruns the booked cycles (about 2.7 cycles per
+        // op against 2), so the calendar stays near the cursor.
+        cursor += rng.below(4);
+        if (rng.below(16) == 0)
+            cursor += rng.below(40);
+        Cycle t = cursor - rng.below(65);
+        if (rng.below(8) == 0)
+            t = cursor + rng.below(200);
+        unsigned dur = rng.below(8) == 0 ? long_durs[rng.below(4)] : 1;
+        Cycle got = fast.earliest(t, dur);
+        ASSERT_EQ(got, ref.earliest(t, dur))
+            << "op " << i << ": earliest(" << t << ", " << dur << ")";
+        if (rng.below(4) != 0) {
+            fast.book(got, dur);
+            ref.book(got, dur);
+            if (got < newest)
+                ++gap_fills;
+            newest = std::max(newest, got);
+        }
+        if (rng.below(512) == 0) {
+            Cycle before = cursor - 65 - rng.below(512);
+            fast.prune(before);
+            ref.prune(before);
+            ASSERT_EQ(fast.intervals(), ref.intervals()) << "op " << i;
+        }
+    }
+    EXPECT_EQ(fast.intervals(), ref.intervals());
+}
+
+TEST(FuPipeOracle, MatchesBinarySearchCalendar)
+{
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        std::size_t gap_fills = 0;
+        checkCalendarAgainstOracle(seed, 20000, gap_fills);
+        // Without mid-calendar inserts the comparison would cover
+        // appends only.
+        EXPECT_GT(gap_fills, 1000u) << "seed " << seed;
+    }
+}
+
+/**
+ * One seeded claim sequence against both pools. Monotone sequences
+ * model completion-buffer and rename claims (complete + 1, in order);
+ * non-monotone ones model reservation stations, whose release times
+ * jump back and forth, with ties.
+ */
+void
+checkPoolAgainstOracle(unsigned capacity, bool monotone,
+                       std::uint64_t seed)
+{
+    SCOPED_TRACE("capacity " + std::to_string(capacity) +
+                 (monotone ? " monotone" : " non-monotone") + " seed " +
+                 std::to_string(seed));
+    Rng rng(seed);
+    ResourcePool fast(capacity);
+    oracle::HeapResourcePool ref(capacity);
+    EXPECT_EQ(fast.capacity(), capacity);
+    Cycle base = 0;
+    for (int i = 0; i < 4000; ++i) {
+        base += rng.below(3);
+        Cycle release = monotone ? base : base + rng.below(48);
+        if (!monotone && rng.below(10) == 0)
+            release = base > 20 ? base - rng.below(20) : base;
+        fast.claim(release);
+        ref.claim(release);
+        ASSERT_EQ(fast.earliestAvailable(), ref.earliestAvailable())
+            << "after claim " << i << " of " << release;
+    }
+}
+
+TEST(ResourcePoolOracle, MatchesHeapPool)
+{
+    for (unsigned cap : {0u, 1u, 2u, 8u, 16u, 32u})
+        for (bool monotone : {true, false})
+            for (std::uint64_t seed = 1; seed <= 8; ++seed)
+                checkPoolAgainstOracle(cap, monotone, seed);
 }
 
 TEST(SlotCounter, EnforcesPerCycleWidth)
