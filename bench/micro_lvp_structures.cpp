@@ -67,10 +67,13 @@ BM_LctClassifyUpdate(benchmark::State &state)
 }
 BENCHMARK(BM_LctClassifyUpdate)->Args({256, 2})->Args({256, 1});
 
+/** CVU search, store invalidation and insert at a capacity (arg 0)
+ *  and associativity (arg 1; 0 = the paper's full CAM). */
 void
 BM_CvuSearchAndInvalidate(benchmark::State &state)
 {
-    core::Cvu cvu(static_cast<std::uint32_t>(state.range(0)));
+    core::Cvu cvu(static_cast<std::uint32_t>(state.range(0)),
+                  static_cast<std::uint32_t>(state.range(1)));
     Rng rng(3);
     // Pre-fill to capacity.
     for (std::uint32_t i = 0; i < cvu.capacity(); ++i)
@@ -88,7 +91,11 @@ BM_CvuSearchAndInvalidate(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CvuSearchAndInvalidate)->Arg(32)->Arg(128);
+BENCHMARK(BM_CvuSearchAndInvalidate)
+    ->Args({32, 0})
+    ->Args({128, 0})
+    ->Args({512, 0})
+    ->Args({128, 4});
 
 void
 BM_LvpUnitOnLoad(benchmark::State &state)
@@ -282,7 +289,7 @@ struct BlockColumns
     }
 };
 
-/** v3 block encode: all five columns of one 64Ki-record block. */
+/** Block encode: all five columns of one 64Ki-record block. */
 void
 BM_TraceBlockEncode(benchmark::State &state)
 {
@@ -304,11 +311,13 @@ BM_TraceBlockEncode(benchmark::State &state)
 }
 BENCHMARK(BM_TraceBlockEncode)->Unit(benchmark::kMillisecond);
 
-/** v3 block decode, strided straight into record-shaped slots (the
- *  reader's zero-recopy scatter). */
+/** Decode of the three varint columns of one block, strided into
+ *  record-shaped slots; arg 1 first verifies the block checksum over
+ *  the encoded columns, as the reader does. */
 void
 BM_TraceBlockDecode(benchmark::State &state)
 {
+    const bool verify = state.range(0) != 0;
     BlockColumns cols;
     std::vector<std::uint8_t> pcEnc, addrEnc, valEnc;
     trace::encodeDeltaColumn(cols.pc.data(), cols.N, pcEnc);
@@ -317,8 +326,15 @@ BM_TraceBlockDecode(benchmark::State &state)
 
     constexpr std::size_t Stride = 4; // u64 slots per decoded record
     std::vector<std::uint64_t> decoded(cols.N * Stride);
+    std::vector<std::uint8_t> payload(pcEnc);
+    payload.insert(payload.end(), addrEnc.begin(), addrEnc.end());
+    payload.insert(payload.end(), valEnc.begin(), valEnc.end());
+    const std::uint64_t sum =
+        trace::blockChecksum(payload.data(), payload.size());
     for (auto _ : state) {
         bool ok =
+            (!verify || trace::blockChecksum(payload.data(),
+                                             payload.size()) == sum) &&
             trace::decodeDeltaColumn(pcEnc.data(), pcEnc.size(),
                                      decoded.data(), cols.N, Stride) &&
             trace::decodeSparseColumn(addrEnc.data(), addrEnc.size(),
@@ -336,7 +352,8 @@ BM_TraceBlockDecode(benchmark::State &state)
     state.SetBytesProcessed(static_cast<std::int64_t>(
         state.iterations() * cols.N * trace::TraceRecordBytes));
 }
-BENCHMARK(BM_TraceBlockDecode)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TraceBlockDecode)->Arg(0)->Arg(1)->Unit(
+    benchmark::kMillisecond);
 
 /**
  * SparseMemory hot path: word reads/writes with strong page locality

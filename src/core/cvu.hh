@@ -15,13 +15,21 @@
  * by their address's 8-byte granule, trading the full CAM's cost for
  * possible conflict evictions. Coherence is preserved: a store probes
  * every set its byte range can overlap.
+ *
+ * The model finds entries the way the CAM does, in O(1) expected time
+ * rather than by scanning: entries live in a fixed slab, each set
+ * keeps an intrusive MRU-first list (its LRU order), and two hash
+ * chains index the entries by the 8-byte granule of their address
+ * and by their LVPT index. Lookups, inserts and both invalidations
+ * walk one or a few short chains; the results (hits, LRU victims,
+ * invalidation counts, corruptEvict's choice) are those of a linear
+ * scan of MRU-first lists.
  */
 
 #ifndef LVPLIB_CORE_CVU_HH
 #define LVPLIB_CORE_CVU_HH
 
 #include <cstdint>
-#include <list>
 #include <vector>
 
 #include "util/types.hh"
@@ -52,8 +60,8 @@ class Cvu
      * prediction verified correct. Evicts the LRU entry (of the set,
      * when set-associative) when full.
      *
-     * @param size Access size in bytes, retained so stores can detect
-     * partial overlap.
+     * @param size Access size in bytes (at most 8, a VLISA load),
+     * retained so stores can detect partial overlap.
      */
     void insert(Addr addr, std::uint32_t lvpt_index, unsigned size);
 
@@ -77,7 +85,8 @@ class Cvu
 
     /**
      * Fault injection (lvpchaos): evict entry number (@p which mod
-     * size()), modelling a parity-detected corrupt CAM entry. A real
+     * size()), counting sets in order and MRU first within a set,
+     * modelling a parity-detected corrupt CAM entry. A real
      * CVU must treat an entry that fails parity as absent — anything
      * else could vouch for a stale value — so the fault only costs a
      * verified constant, never correctness.
@@ -88,28 +97,74 @@ class Cvu
 
     std::uint32_t capacity() const { return capacity_; }
     std::uint32_t ways() const { return ways_; }
-    std::size_t size() const;
+    std::size_t size() const { return live_; }
     bool enabled() const { return capacity_ != 0; }
 
-    void reset();
-
-  private:
-    struct Entry
+    /** One resident entry, as contents() lists it. */
+    struct Resident
     {
         Addr addr;
         std::uint32_t lvptIndex;
         unsigned size;
+        bool operator==(const Resident &) const = default;
+    };
+
+    /** Every entry in corruptEvict's numbering: sets in order, MRU
+     *  first within a set. */
+    std::vector<Resident> contents() const;
+
+    void reset();
+
+  private:
+    /** Slab slot number; Nil ends a list or chain. */
+    using Slot = std::int32_t;
+    static constexpr Slot Nil = -1;
+
+    struct Entry
+    {
+        Addr addr;
+        std::uint32_t lvptIndex;
+        std::uint32_t size;
+        std::uint32_t set;
+        Slot prev, next;   ///< set list, MRU first (next: free list)
+        Slot gPrev, gNext; ///< chain of the address granule's bucket
+        Slot iPrev, iNext; ///< chain of the LVPT index's bucket
+    };
+
+    struct Set
+    {
+        Slot head = Nil; ///< MRU entry
+        Slot tail = Nil; ///< LRU entry
+        std::uint32_t count = 0;
     };
 
     /** Set holding entries whose base address is @p addr. */
     std::size_t setOf(Addr addr) const;
+    /** Hash bucket of an 8-byte granule (address >> 3). */
+    std::size_t granuleBucket(Addr granule) const;
+    /** Hash bucket of an LVPT index. */
+    std::size_t indexBucket(std::uint32_t lvpt_index) const;
+
+    /** The entry holding (@p addr, @p lvpt_index), or Nil. */
+    Slot find(Addr addr, std::uint32_t lvpt_index) const;
+    void pushFront(Slot e);
+    void unlinkFromSet(Slot e);
+    /** Unlink @p e from its set and both chains and free its slot. */
+    void remove(Slot e);
+    /** Remove the entries of granule bucket @p b that overlap the
+     *  store [@p addr, @p addr + @p size). */
+    unsigned purgeBucket(std::size_t b, Addr addr, unsigned size);
 
     std::uint32_t capacity_;
     std::uint32_t ways_;     ///< entries per set (capacity_ when FA)
     std::uint32_t numSets_;  ///< 1 when fully associative
-    /** MRU-first lists; fully-associative search is a linear scan,
-     *  faithful to a CAM (capacities are small: 32-128). */
-    std::vector<std::list<Entry>> sets_;
+    unsigned bucketBits_;    ///< log2 of each hash table's buckets
+    std::uint32_t live_ = 0; ///< entries in use
+    Slot free_ = Nil;        ///< free-slot stack, linked by next
+    std::vector<Entry> slab_;
+    std::vector<Set> sets_;
+    std::vector<Slot> byGranule_; ///< bucket heads, keyed by granule
+    std::vector<Slot> byIndex_;   ///< bucket heads, keyed by index
 };
 
 } // namespace lvplib::core

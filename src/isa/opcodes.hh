@@ -143,8 +143,9 @@ const char *condName(Cond c);
 // per-record path (several calls per retired instruction), so they
 // are defined inline here rather than out-of-line in instruction.cc.
 
-/** Functional unit that executes @p op. */
-inline FuType
+/** Functional unit that executes @p op (constexpr: isa/latency.hh
+ *  builds its latency table from it at compile time). */
+constexpr FuType
 fuType(Opcode op)
 {
     switch (op) {

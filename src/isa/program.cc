@@ -5,14 +5,6 @@
 namespace lvplib::isa
 {
 
-const Instruction &
-Program::fetch(Addr pc) const
-{
-    lvp_assert(validPc(pc), "pc=0x%llx",
-               static_cast<unsigned long long>(pc));
-    return code_[(pc - layout::CodeBase) / layout::InstBytes];
-}
-
 void
 Program::setWord(Addr a, Word v)
 {

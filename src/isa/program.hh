@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "isa/instruction.hh"
+#include "util/logging.hh"
 #include "util/types.hh"
 
 namespace lvplib::isa
@@ -58,8 +59,15 @@ class Program
                (pc - layout::CodeBase) % layout::InstBytes == 0;
     }
 
-    /** Instruction at @p pc (must be a valid pc). */
-    const Instruction &fetch(Addr pc) const;
+    /** Instruction at @p pc (must be a valid pc). Inline: the trace
+     *  reader binds every decoded record through it. */
+    const Instruction &
+    fetch(Addr pc) const
+    {
+        lvp_assert(validPc(pc), "pc=0x%llx",
+                   static_cast<unsigned long long>(pc));
+        return code_[(pc - layout::CodeBase) / layout::InstBytes];
+    }
 
     /** Instruction by static index. */
     const Instruction &at(std::size_t idx) const { return code_[idx]; }

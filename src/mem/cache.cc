@@ -33,50 +33,6 @@ Cache::Cache(const CacheConfig &config) : config_(config)
                   Line());
 }
 
-std::uint32_t
-Cache::setIndex(Addr addr) const
-{
-    return static_cast<std::uint32_t>(addr >> setShift_) & setMask_;
-}
-
-Addr
-Cache::tagOf(Addr addr) const
-{
-    return addr >> setShift_;
-}
-
-bool
-Cache::access(Addr addr)
-{
-    ++clock_;
-    const Addr tag = tagOf(addr);
-    Line *set = &lines_[static_cast<std::size_t>(setIndex(addr)) *
-                        config_.assoc];
-    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-        Line &line = set[w];
-        if (line.valid() && line.tag == tag) {
-            line.lastUse = clock_;
-            ++hits_;
-            return true;
-        }
-    }
-    // Miss: fill an invalid way, else the least-recently-used way.
-    Line *victim = &set[0];
-    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-        Line &line = set[w];
-        if (!line.valid()) {
-            victim = &line;
-            break;
-        }
-        if (line.lastUse < victim->lastUse)
-            victim = &line;
-    }
-    ++misses_;
-    victim->tag = tag;
-    victim->lastUse = clock_;
-    return false;
-}
-
 bool
 Cache::probe(Addr addr) const
 {

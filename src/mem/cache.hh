@@ -35,7 +35,8 @@ class Cache
 
     /**
      * Access the line containing @p addr, allocating it on a miss
-     * (write-allocate, fetch-on-write).
+     * (write-allocate, fetch-on-write). Inline (below the class):
+     * every timing-model load and store calls it.
      *
      * @return true on hit.
      */
@@ -65,8 +66,13 @@ class Cache
         bool valid() const { return lastUse != 0; }
     };
 
-    std::uint32_t setIndex(Addr addr) const;
-    Addr tagOf(Addr addr) const;
+    std::uint32_t
+    setIndex(Addr addr) const
+    {
+        return static_cast<std::uint32_t>(addr >> setShift_) & setMask_;
+    }
+
+    Addr tagOf(Addr addr) const { return addr >> setShift_; }
 
     CacheConfig config_;
     std::uint32_t setShift_;   ///< log2(lineBytes)
@@ -76,6 +82,38 @@ class Cache
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };
+
+inline bool
+Cache::access(Addr addr)
+{
+    ++clock_;
+    const Addr tag = tagOf(addr);
+    Line *set = &lines_[static_cast<std::size_t>(setIndex(addr)) *
+                        config_.assoc];
+    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
+        Line &line = set[w];
+        if (line.valid() && line.tag == tag) {
+            line.lastUse = clock_;
+            ++hits_;
+            return true;
+        }
+    }
+    // Miss: fill an invalid way, else the least-recently-used way.
+    Line *victim = &set[0];
+    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
+        Line &line = set[w];
+        if (!line.valid()) {
+            victim = &line;
+            break;
+        }
+        if (line.lastUse < victim->lastUse)
+            victim = &line;
+    }
+    ++misses_;
+    victim->tag = tag;
+    victim->lastUse = clock_;
+    return false;
+}
 
 } // namespace lvplib::mem
 

@@ -33,20 +33,6 @@ MemHierarchy::MemHierarchy(const HierarchyConfig &config)
     : config_(config), l1_(config.l1), l2_(config.l2)
 {}
 
-AccessResult
-MemHierarchy::access(Addr addr)
-{
-    AccessResult r;
-    r.bank = bank(addr);
-    r.l1Hit = l1_.access(addr);
-    if (r.l1Hit)
-        return r;
-    r.l2Hit = l2_.access(addr);
-    r.extraLatency = r.l2Hit ? config_.l2Latency
-                             : config_.l2Latency + config_.memLatency;
-    return r;
-}
-
 bool
 MemHierarchy::touchIfPresent(Addr addr)
 {
@@ -54,16 +40,6 @@ MemHierarchy::touchIfPresent(Addr addr)
         return false;
     l1_.access(addr);
     return true;
-}
-
-std::uint32_t
-MemHierarchy::bank(Addr addr) const
-{
-    if (config_.banks <= 1)
-        return 0;
-    // Banks interleave on line granularity.
-    return static_cast<std::uint32_t>(addr / config_.l1.lineBytes) %
-           config_.banks;
 }
 
 void

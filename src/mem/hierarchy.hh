@@ -48,8 +48,21 @@ class MemHierarchy
   public:
     explicit MemHierarchy(const HierarchyConfig &config);
 
-    /** Perform (and record) one load or store access. */
-    AccessResult access(Addr addr);
+    /** Perform (and record) one load or store access. Inline, with
+     *  bank(): the timing models call both per memory record. */
+    AccessResult
+    access(Addr addr)
+    {
+        AccessResult r;
+        r.bank = bank(addr);
+        r.l1Hit = l1_.access(addr);
+        if (r.l1Hit)
+            return r;
+        r.l2Hit = l2_.access(addr);
+        r.extraLatency = r.l2Hit ? config_.l2Latency
+                                 : config_.l2Latency + config_.memLatency;
+        return r;
+    }
 
     /**
      * CVU-cancelled access: touch the L1 line (refresh LRU) when
@@ -62,7 +75,15 @@ class MemHierarchy
     bool touchIfPresent(Addr addr);
 
     /** Bank an address maps to, without accessing. */
-    std::uint32_t bank(Addr addr) const;
+    std::uint32_t
+    bank(Addr addr) const
+    {
+        if (config_.banks <= 1)
+            return 0;
+        // Banks interleave on line granularity.
+        return static_cast<std::uint32_t>(addr / config_.l1.lineBytes) %
+               config_.banks;
+    }
 
     const HierarchyConfig &config() const { return config_; }
     const Cache &l1() const { return l1_; }

@@ -45,63 +45,6 @@ pub(std::initializer_list<std::string_view> parts, double v)
     obs::metrics().gauge(obs::metricKey(parts)).set(v);
 }
 
-/**
- * Suite statistics for a whole config sweep at once: element c of the
- * result is the per-workload mean of stat(workload, cfgs[c]). Each
- * workload's sweep comes from one single-pass fan-out replay, and the
- * per-config means accumulate in suite order, exactly as the old
- * one-config-at-a-time helpers did.
- */
-template <typename StatFn>
-std::vector<double>
-meanOverSuite(const std::vector<core::LvpConfig> &cfgs,
-              const ExperimentOptions &opts, StatFn stat)
-{
-    std::vector<SweepVariant> variants;
-    for (const auto &cfg : cfgs)
-        variants.push_back({core::lvpPredictor(cfg), {}});
-    auto rows = experimentPool().map(
-        allWorkloads(), [&](const Workload &w) {
-            auto runs = cache().sweep(w, CodeGen::Ppc, opts.scale,
-                                      variants, runCfg(opts));
-            std::vector<double> xs;
-            xs.reserve(runs.size());
-            for (const auto &r : runs)
-                xs.push_back(stat(r.lvp));
-            return xs;
-        });
-    std::vector<double> out;
-    out.reserve(cfgs.size());
-    for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        std::vector<double> col;
-        col.reserve(rows.size());
-        for (const auto &r : rows)
-            col.push_back(r[c]);
-        out.push_back(mean(col));
-    }
-    return out;
-}
-
-/** Mean "good prediction" rate over the suite, per config. */
-std::vector<double>
-meanGoodMany(const std::vector<core::LvpConfig> &cfgs,
-             const ExperimentOptions &opts)
-{
-    return meanOverSuite(cfgs, opts, [](const core::LvpStats &st) {
-        return pct(st.correct + st.constants, st.loads);
-    });
-}
-
-/** Mean constant-identification rate over the suite, per config. */
-std::vector<double>
-meanConstantMany(const std::vector<core::LvpConfig> &cfgs,
-                 const ExperimentOptions &opts)
-{
-    return meanOverSuite(cfgs, opts, [](const core::LvpStats &st) {
-        return st.constantRate();
-    });
-}
-
 } // namespace
 
 std::vector<ExperimentSection>
@@ -186,22 +129,99 @@ ablationPredictors(const ExperimentOptions &opts)
 std::vector<ExperimentSection>
 ablationLvpDesign(const ExperimentOptions &opts)
 {
+    // Plan: every section's variants in one list, so each workload's
+    // trace is replayed once for all six sections (the memo still
+    // shares variants with other experiments). Each section renders
+    // from its slice, which starts at the recorded index.
+    std::vector<SweepVariant> variants;
+    auto addLvp = [&variants](const LvpConfig &cfg) {
+        variants.push_back({core::lvpPredictor(cfg), {}});
+    };
+
+    static const std::uint32_t entriesSweep[] = {64u, 256u, 1024u,
+                                                 4096u};
+    const std::size_t entriesAt = variants.size();
+    for (std::uint32_t entries : entriesSweep) {
+        auto cfg = LvpConfig::simple();
+        cfg.lvptEntries = entries;
+        addLvp(cfg);
+    }
+
+    static const std::uint32_t depthSweep[] = {1u, 2u, 4u, 8u, 16u};
+    const std::size_t depthAt = variants.size();
+    for (std::uint32_t depth : depthSweep) {
+        auto cfg = LvpConfig::limit();
+        cfg.historyDepth = depth;
+        addLvp(cfg);
+    }
+
+    static const std::uint32_t cvuSweep[] = {8u, 32u, 128u, 512u};
+    const std::size_t cvuAt = variants.size();
+    for (std::uint32_t entries : cvuSweep) {
+        auto cfg = LvpConfig::constant();
+        cfg.cvuEntries = entries;
+        addLvp(cfg);
+    }
+    // Organization: the paper's full CAM vs a cheaper 4-way
+    // set-associative CVU at the Constant config's capacity.
+    {
+        auto cfg = LvpConfig::constant();
+        cfg.cvuWays = 4;
+        addLvp(cfg);
+    }
+
+    static const std::uint32_t bhrSweep[] = {0u, 2u, 4u, 8u};
+    const std::size_t bhrAt = variants.size();
+    for (std::uint32_t bits : bhrSweep) {
+        auto cfg = LvpConfig::simple();
+        cfg.bhrBits = bits;
+        addLvp(cfg);
+    }
+
+    // Recovery policy: a no-LVP baseline and Simple on each machine.
+    const std::size_t recoveryAt = variants.size();
+    for (bool squash : {false, true}) {
+        auto mc = Ppc620Config::base620();
+        mc.squashOnValueMispredict = squash;
+        variants.push_back({std::nullopt, mc});
+        variants.push_back({core::lvpPredictor(LvpConfig::simple()), mc});
+    }
+
+    const std::size_t tagAt = variants.size();
+    for (bool tagged : {false, true}) {
+        auto cfg = LvpConfig::simple();
+        cfg.taggedLvpt = tagged;
+        addLvp(cfg);
+    }
+
+    const auto runs = experimentPool().map(
+        allWorkloads(), [&](const Workload &w) {
+            return cache().sweep(w, CodeGen::Ppc, opts.scale, variants,
+                                 runCfg(opts));
+        });
+
+    // Render: each section reads its slice, averaging over the suite
+    // in suite order.
+    auto suiteMean = [&runs](std::size_t v, auto stat) {
+        std::vector<double> col;
+        col.reserve(runs.size());
+        for (const auto &r : runs)
+            col.push_back(stat(r[v].lvp));
+        return mean(col);
+    };
+    auto good = [](const core::LvpStats &st) {
+        return pct(st.correct + st.constants, st.loads);
+    };
+    auto constants = [](const core::LvpStats &st) {
+        return st.constantRate();
+    };
     std::vector<ExperimentSection> sections;
 
     {
         TextTable t;
         t.header({"LVPT entries", "good predictions"});
-        static const std::uint32_t entriesSweep[] = {64u, 256u, 1024u,
-                                                     4096u};
-        std::vector<LvpConfig> cfgs;
-        for (std::uint32_t entries : entriesSweep) {
-            auto cfg = LvpConfig::simple();
-            cfg.lvptEntries = entries;
-            cfgs.push_back(cfg);
-        }
-        auto goods = meanGoodMany(cfgs, opts);
-        for (std::size_t i = 0; i < cfgs.size(); ++i) {
-            double g = goods[i];
+        for (std::size_t i = 0; i < std::size(entriesSweep); ++i) {
+            double g = suiteMean(entriesAt + i, good);
             t.row({std::to_string(entriesSweep[i]),
                    TextTable::fmtPct(g)});
             pub({"ablation_lvp_design",
@@ -218,16 +238,8 @@ ablationLvpDesign(const ExperimentOptions &opts)
     {
         TextTable t;
         t.header({"History depth (oracle select)", "good predictions"});
-        static const std::uint32_t depthSweep[] = {1u, 2u, 4u, 8u, 16u};
-        std::vector<LvpConfig> cfgs;
-        for (std::uint32_t depth : depthSweep) {
-            auto cfg = LvpConfig::limit();
-            cfg.historyDepth = depth;
-            cfgs.push_back(cfg);
-        }
-        auto goods = meanGoodMany(cfgs, opts);
-        for (std::size_t i = 0; i < cfgs.size(); ++i) {
-            double g = goods[i];
+        for (std::size_t i = 0; i < std::size(depthSweep); ++i) {
+            double g = suiteMean(depthAt + i, good);
             t.row({std::to_string(depthSweep[i]), TextTable::fmtPct(g)});
             pub({"ablation_lvp_design",
                  "history_" + std::to_string(depthSweep[i]), "good"},
@@ -244,32 +256,16 @@ ablationLvpDesign(const ExperimentOptions &opts)
     {
         TextTable t;
         t.header({"CVU entries", "constants (% of loads)"});
-        static const std::uint32_t cvuSweep[] = {8u, 32u, 128u, 512u};
-        std::vector<LvpConfig> cfgs;
-        for (std::uint32_t entries : cvuSweep) {
-            auto cfg = LvpConfig::constant();
-            cfg.cvuEntries = entries;
-            cfgs.push_back(cfg);
-        }
-        // Organization: the paper's full CAM vs a cheaper 4-way
-        // set-associative CVU at the Constant config's capacity.
-        {
-            auto cfg = LvpConfig::constant();
-            cfg.cvuWays = 4;
-            cfgs.push_back(cfg);
-        }
-        auto consts = meanConstantMany(cfgs, opts);
         for (std::size_t i = 0; i < std::size(cvuSweep); ++i) {
-            double c = consts[i];
+            double c = suiteMean(cvuAt + i, constants);
             t.row({std::to_string(cvuSweep[i]), TextTable::fmtPct(c)});
             pub({"ablation_lvp_design",
                  "cvu_" + std::to_string(cvuSweep[i]), "constants"},
                 c);
         }
-        t.row({"128 (4-way set-assoc)",
-               TextTable::fmtPct(consts.back())});
-        pub({"ablation_lvp_design", "cvu_128_4way", "constants"},
-            consts.back());
+        double c4 = suiteMean(cvuAt + std::size(cvuSweep), constants);
+        t.row({"128 (4-way set-assoc)", TextTable::fmtPct(c4)});
+        pub({"ablation_lvp_design", "cvu_128_4way", "constants"}, c4);
         sections.push_back(
             {"Ablation 3: CVU capacity and organization",
              "more CAM entries keep more constants verified between "
@@ -280,16 +276,8 @@ ablationLvpDesign(const ExperimentOptions &opts)
     {
         TextTable t;
         t.header({"BHR bits in LVPT index", "good predictions"});
-        static const std::uint32_t bhrSweep[] = {0u, 2u, 4u, 8u};
-        std::vector<LvpConfig> cfgs;
-        for (std::uint32_t bits : bhrSweep) {
-            auto cfg = LvpConfig::simple();
-            cfg.bhrBits = bits;
-            cfgs.push_back(cfg);
-        }
-        auto goods = meanGoodMany(cfgs, opts);
-        for (std::size_t i = 0; i < cfgs.size(); ++i) {
-            double g = goods[i];
+        for (std::size_t i = 0; i < std::size(bhrSweep); ++i) {
+            double g = suiteMean(bhrAt + i, good);
             t.row({std::to_string(bhrSweep[i]), TextTable::fmtPct(g)});
             pub({"ablation_lvp_design",
                  "bhr_" + std::to_string(bhrSweep[i]), "good"},
@@ -308,17 +296,12 @@ ablationLvpDesign(const ExperimentOptions &opts)
         TextTable t;
         t.header({"Recovery policy", "GM speedup (620, Simple)"});
         for (bool squash : {false, true}) {
-            auto mc = Ppc620Config::base620();
-            mc.squashOnValueMispredict = squash;
-            const std::vector<SweepVariant> variants = {
-                {std::nullopt, mc},
-                {core::lvpPredictor(LvpConfig::simple()), mc}};
-            auto speedups = experimentPool().map(
-                allWorkloads(), [&](const Workload &w) {
-                    auto runs = cache().sweep(w, CodeGen::Ppc, opts.scale,
-                                              variants, runCfg(opts));
-                    return runs[1].ppc().ipc() / runs[0].ppc().ipc();
-                });
+            const std::size_t base = recoveryAt + (squash ? 2 : 0);
+            std::vector<double> speedups;
+            speedups.reserve(runs.size());
+            for (const auto &r : runs)
+                speedups.push_back(r[base + 1].ppc().ipc() /
+                                   r[base].ppc().ipc());
             t.row({squash ? "squash + refetch" : "selective reissue "
                                                  "(paper)",
                    TextTable::fmtDouble(geomean(speedups), 3)});
@@ -340,16 +323,8 @@ ablationLvpDesign(const ExperimentOptions &opts)
     {
         TextTable t;
         t.header({"LVPT tagging", "good predictions"});
-        std::vector<LvpConfig> cfgs;
         for (bool tagged : {false, true}) {
-            auto cfg = LvpConfig::simple();
-            cfg.taggedLvpt = tagged;
-            cfgs.push_back(cfg);
-        }
-        auto goods = meanGoodMany(cfgs, opts);
-        for (std::size_t i = 0; i < cfgs.size(); ++i) {
-            bool tagged = i == 1;
-            double g = goods[i];
+            double g = suiteMean(tagAt + (tagged ? 1 : 0), good);
             t.row({tagged ? "tagged" : "untagged (paper)",
                    TextTable::fmtPct(g)});
             pub({"ablation_lvp_design",

@@ -1,18 +1,88 @@
 #include "trace/columnar.hh"
 
+#include <bit>
+#include <cstring>
+
 namespace lvplib::trace
 {
 
+namespace
+{
+
+/** @{ Odd 64-bit multipliers (xxHash64's primes): multiplying by an
+ *  odd constant is a bijection modulo 2^64. */
+constexpr std::uint64_t K1 = 0x9e3779b185ebca87ull;
+constexpr std::uint64_t K2 = 0xc2b2ae3d27d4eb4full;
+constexpr std::uint64_t K3 = 0x165667b19e3779f9ull;
+/** @} */
+
+/** Little-endian u64 at @p p (@p len <= 8 bytes, zero-padded). */
 std::uint64_t
-fnv1a(const void *data, std::size_t n, std::uint64_t seed)
+loadWord(const std::uint8_t *p, std::size_t len = 8)
+{
+    std::uint64_t w = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&w, p, len);
+    } else {
+        for (std::size_t i = 0; i < len; ++i)
+            w |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    }
+    return w;
+}
+
+/** One lane step: for a fixed lane, a bijection in the word (odd
+ *  multiply, add, rotate, odd multiply), and for a fixed word, a
+ *  bijection in the lane. */
+inline std::uint64_t
+laneStep(std::uint64_t lane, std::uint64_t word)
+{
+    return std::rotl(lane + word * K2, 31) * K1;
+}
+
+/** Fold @p lane into @p h: a bijection in each argument. */
+inline std::uint64_t
+mergeLane(std::uint64_t h, std::uint64_t lane)
+{
+    return std::rotl(h ^ lane, 27) * K1 + K3;
+}
+
+/** MurmurHash3's fmix64: xor-shifts and odd multiplies, a bijection. */
+inline std::uint64_t
+finalize(std::uint64_t h)
+{
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    h ^= h >> 33;
+    return h;
+}
+
+} // namespace
+
+std::uint64_t
+blockChecksum(const void *data, std::size_t n, std::uint64_t seed)
 {
     const auto *p = static_cast<const std::uint8_t *>(data);
-    std::uint64_t h = seed;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= FnvPrime;
+    std::uint64_t lane[4] = {seed + K1 + K2, seed + K2, seed,
+                             seed - K1};
+    std::size_t i = 0;
+    for (; i + 32 <= n; i += 32) {
+        lane[0] = laneStep(lane[0], loadWord(p + i));
+        lane[1] = laneStep(lane[1], loadWord(p + i + 8));
+        lane[2] = laneStep(lane[2], loadWord(p + i + 16));
+        lane[3] = laneStep(lane[3], loadWord(p + i + 24));
     }
-    return h;
+    // Word i still goes to lane i mod 4: the tail starts at lane 0.
+    std::size_t l = 0;
+    for (; i + 8 <= n; i += 8, ++l)
+        lane[l] = laneStep(lane[l], loadWord(p + i));
+    if (i < n)
+        lane[l] = laneStep(lane[l], loadWord(p + i, n - i));
+    std::uint64_t h = seed + static_cast<std::uint64_t>(n) * K3;
+    for (std::uint64_t v : lane)
+        h = mergeLane(h, v);
+    return finalize(h);
 }
 
 void
@@ -23,30 +93,6 @@ putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
         v >>= 7;
     }
     out.push_back(static_cast<std::uint8_t>(v));
-}
-
-bool
-getVarint(const std::uint8_t *&p, const std::uint8_t *end,
-          std::uint64_t &v)
-{
-    std::uint64_t acc = 0;
-    unsigned shift = 0;
-    for (std::size_t i = 0; i < VarintMaxBytes; ++i) {
-        if (p == end)
-            return false; // truncated
-        std::uint8_t byte = *p++;
-        // The 10th byte may only contribute the top bit of a u64:
-        // anything else is a 64-bit overflow from hostile input.
-        if (i == VarintMaxBytes - 1 && byte > 1)
-            return false;
-        acc |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if (!(byte & 0x80)) {
-            v = acc;
-            return true;
-        }
-        shift += 7;
-    }
-    return false; // longer than any canonical u64 encoding
 }
 
 void
@@ -69,16 +115,11 @@ decodeDeltaColumn(const std::uint8_t *p, std::size_t len,
                   std::uint64_t *out, std::size_t n,
                   std::size_t stride)
 {
-    const std::uint8_t *end = p + len;
-    std::uint64_t prev = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t z;
-        if (!getVarint(p, end, z))
+    DeltaColumnReader col(p, len);
+    for (std::size_t i = 0; i < n; ++i)
+        if (!col.next(out[i * stride]))
             return false;
-        prev += static_cast<std::uint64_t>(zigzagDecode(z));
-        out[i * stride] = prev;
-    }
-    return p == end; // a column must consume exactly its bytes
+    return col.done();
 }
 
 void
@@ -105,30 +146,13 @@ decodeSparseColumn(const std::uint8_t *p, std::size_t len,
                    std::uint64_t *out, std::size_t n,
                    std::size_t stride)
 {
-    std::size_t bitmapBytes = (n + 7) / 8;
-    if (len < bitmapBytes)
+    SparseColumnReader col(p, len, n);
+    if (!col.valid())
         return false;
-    const std::uint8_t *bitmap = p;
-    const std::uint8_t *cur = p + bitmapBytes;
-    const std::uint8_t *end = p + len;
-    std::uint64_t prev = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!unpackBit(bitmap, i)) {
-            out[i * stride] = 0;
-            continue;
-        }
-        std::uint64_t z;
-        if (!getVarint(cur, end, z))
+    for (std::size_t i = 0; i < n; ++i)
+        if (!col.next(i, out[i * stride]))
             return false;
-        prev += static_cast<std::uint64_t>(zigzagDecode(z));
-        // A "present" zero is an encoding our writer never produces
-        // (zeros go in the bitmap); reject rather than round-trip
-        // ambiguously.
-        if (prev == 0)
-            return false;
-        out[i * stride] = prev;
-    }
-    return cur == end;
+    return col.done();
 }
 
 void

@@ -28,18 +28,23 @@ constexpr char HeaderMagic[8] = {'L', 'V', 'P', 'T',
 constexpr char FooterMagic[8] = {'E', 'C', 'A', 'R',
                                  'T', 'P', 'V', 'L'};
 
-/** The block decoders scatter the pc/effAddr/value columns straight
- *  into the TraceRecord array handed to consumeBatch; that requires
- *  the u64 fields to sit on u64-slot boundaries of the struct. */
-static_assert(sizeof(TraceRecord) % sizeof(std::uint64_t) == 0);
-static_assert(offsetof(TraceRecord, pc) % sizeof(std::uint64_t) == 0);
-static_assert(offsetof(TraceRecord, effAddr) %
-                  sizeof(std::uint64_t) == 0);
-static_assert(offsetof(TraceRecord, value) %
-                  sizeof(std::uint64_t) == 0);
+/** @{ FNV-1a, the byte-serial hash behind program fingerprints,
+ *  which run once per program (block checksums use blockChecksum). */
+constexpr std::uint64_t FnvOffset = 0xcbf29ce484222325ull;
+constexpr std::uint64_t FnvPrime = 0x00000100000001b3ull;
 
-constexpr std::size_t RecordStride =
-    sizeof(TraceRecord) / sizeof(std::uint64_t);
+std::uint64_t
+fnv1a(const void *data, std::size_t n, std::uint64_t seed)
+{
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    std::uint64_t h = seed;
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= p[i];
+        h *= FnvPrime;
+    }
+    return h;
+}
+/** @} */
 
 void
 putU64(std::uint8_t *p, std::uint64_t v)
@@ -213,6 +218,27 @@ loadBlockIndex(std::FILE *f, const Envelope &env,
     return TraceFileStatus::Ok;
 }
 
+/** Checksum of a block's column payload (the bytes after its
+ *  header), as stored in the header. */
+std::uint64_t
+payloadChecksum(const std::uint8_t *block, std::size_t len)
+{
+    return blockChecksum(block + TraceBlockHeaderBytes,
+                         len - TraceBlockHeaderBytes);
+}
+
+/**
+ * Fold block header @p hdr into the footer checksum @p chain. A
+ * header carries its payload's checksum, record count and column
+ * sizes, so chaining the headers covers every payload byte, and the
+ * block order, without hashing the payloads a second time.
+ */
+std::uint64_t
+chainBlockHeader(std::uint64_t chain, const std::uint8_t *hdr)
+{
+    return blockChecksum(hdr, TraceBlockHeaderBytes, chain);
+}
+
 /** Decoded block header. */
 struct BlockHeader
 {
@@ -355,7 +381,7 @@ verifyTraceFile(const std::string &path,
         std::fclose(f);
         return rep;
     }
-    std::uint64_t checksum = FnvOffset;
+    std::uint64_t checksum = 0;
     std::vector<std::uint8_t> buf;
     for (std::size_t b = 0; b < index.size(); ++b) {
         std::uint64_t len =
@@ -380,20 +406,19 @@ verifyTraceFile(const std::string &path,
             std::fclose(f);
             return rep;
         }
-        if (fnv1a(buf.data() + TraceBlockHeaderBytes,
-                  buf.size() - TraceBlockHeaderBytes) != bh.checksum) {
+        if (payloadChecksum(buf.data(), buf.size()) != bh.checksum) {
             rep.status = TraceFileStatus::ChecksumMismatch;
             rep.detail = "block " + std::to_string(b) +
                          " payload does not match its checksum";
             std::fclose(f);
             return rep;
         }
-        checksum = fnv1a(buf.data(), buf.size(), checksum);
+        checksum = chainBlockHeader(checksum, buf.data());
     }
     std::fclose(f);
     if (checksum != env.checksum) {
         rep.status = TraceFileStatus::ChecksumMismatch;
-        rep.detail = "payload bytes do not match footer checksum";
+        rep.detail = "block headers do not match footer checksum";
     }
     return rep;
 }
@@ -402,8 +427,7 @@ TraceFileWriter::TraceFileWriter(const std::string &path,
                                  std::uint64_t fingerprint,
                                  std::uint32_t blockRecords)
     : file_(std::fopen(path.c_str(), "wb")), path_(path),
-      fingerprint_(fingerprint), blockRecords_(blockRecords),
-      checksum_(FnvOffset)
+      fingerprint_(fingerprint), blockRecords_(blockRecords)
 {
     if (!file_) {
         fail("cannot open for writing");
@@ -472,12 +496,10 @@ TraceFileWriter::encodeBlock()
     putU32(&colBuf_[4], pcBytes);
     putU32(&colBuf_[8], addrBytes);
     putU32(&colBuf_[12], valueBytes);
-    putU64(&colBuf_[16],
-           fnv1a(colBuf_.data() + TraceBlockHeaderBytes,
-                 colBuf_.size() - TraceBlockHeaderBytes));
+    putU64(&colBuf_[16], payloadChecksum(colBuf_.data(), colBuf_.size()));
     index_.push_back(fileOffset_);
     fileOffset_ += colBuf_.size();
-    checksum_ = fnv1a(colBuf_.data(), colBuf_.size(), checksum_);
+    checksum_ = chainBlockHeader(checksum_, colBuf_.data());
     wbuf_.insert(wbuf_.end(), colBuf_.begin(), colBuf_.end());
     stagePc_.clear();
     stageAddr_.clear();
@@ -589,8 +611,7 @@ TraceFileWriter::close()
 TraceFileReader::TraceFileReader(
     const std::string &path, const isa::Program &prog,
     std::optional<std::uint64_t> expectFingerprint)
-    : file_(std::fopen(path.c_str(), "rb")), prog_(prog), path_(path),
-      checksum_(FnvOffset)
+    : file_(std::fopen(path.c_str(), "rb")), prog_(prog), path_(path)
 {
     if (!file_)
         throw SimError(ErrorKind::TraceIo,
@@ -672,9 +693,8 @@ TraceFileReader::blockBytes(std::uint64_t b) const
 }
 
 void
-TraceFileReader::loadBlockFor(std::uint64_t seq)
+TraceFileReader::loadBlock(std::uint64_t b)
 {
-    std::uint64_t b = seq / blockRecords_;
     std::uint64_t len = blockBytes(b);
     if (pblockLen_ > 0 && pblockBlock_ == b) {
         cblock_.swap(pblock_);
@@ -730,8 +750,7 @@ TraceFileReader::loadBlockFor(std::uint64_t seq)
         }
     }
     decodeBlock(b, cblock_.data(), static_cast<std::size_t>(len));
-    decPos_ = static_cast<std::size_t>(
-        seq - b * static_cast<std::uint64_t>(blockRecords_));
+    decPos_ = 0;
 }
 
 void
@@ -761,18 +780,13 @@ TraceFileReader::decodeBlock(std::uint64_t b, std::uint8_t *data,
         corrupt(std::string(traceFileStatusName(
                     TraceFileStatus::BadBlock)) +
                 " at block " + std::to_string(b) + ": " + d);
-    if (fnv1a(data + TraceBlockHeaderBytes, payloadLen) !=
-        bh.checksum)
+    if (payloadChecksum(data, len) != bh.checksum)
         corrupt(std::string(traceFileStatusName(
                     TraceFileStatus::ChecksumMismatch)) +
                 " at block " + std::to_string(b));
-    checksum_ = fnv1a(data, len, checksum_);
+    checksum_ = chainBlockHeader(checksum_, data);
 
     decoded_.resize(static_cast<std::size_t>(expectN));
-    auto *base = reinterpret_cast<std::uint8_t *>(decoded_.data());
-    auto slot = [base](std::size_t off) {
-        return reinterpret_cast<std::uint64_t *>(base + off);
-    };
     const std::uint8_t *pcCol = data + TraceBlockHeaderBytes;
     const std::uint8_t *addrCol = pcCol + bh.pcBytes;
     const std::uint8_t *valCol = addrCol + bh.addrBytes;
@@ -780,22 +794,24 @@ TraceFileReader::decodeBlock(std::uint64_t b, std::uint8_t *data,
     const std::uint8_t *predBits =
         takenBits + (static_cast<std::size_t>(expectN) + 7) / 8;
     std::size_t n = static_cast<std::size_t>(expectN);
-    if (!decodeDeltaColumn(pcCol, bh.pcBytes,
-                           slot(offsetof(TraceRecord, pc)), n,
-                           RecordStride) ||
-        !decodeSparseColumn(addrCol, bh.addrBytes,
-                            slot(offsetof(TraceRecord, effAddr)), n,
-                            RecordStride) ||
-        !decodeSparseColumn(valCol, bh.valueBytes,
-                            slot(offsetof(TraceRecord, value)), n,
-                            RecordStride))
+    auto malformed = [&] {
         corrupt(std::string(traceFileStatusName(
                     TraceFileStatus::BadBlock)) +
                 " at block " + std::to_string(b) +
                 ": column payload malformed");
-
+    };
+    // One pass fills each record from all the columns, so the block
+    // buffer is written once, not once per column.
+    DeltaColumnReader pcs(pcCol, bh.pcBytes);
+    SparseColumnReader addrs(addrCol, bh.addrBytes, n);
+    SparseColumnReader values(valCol, bh.valueBytes, n);
+    if (!addrs.valid() || !values.valid())
+        malformed();
     for (std::size_t i = 0; i < n; ++i) {
         TraceRecord &rec = decoded_[i];
+        if (!pcs.next(rec.pc) || !addrs.next(i, rec.effAddr) ||
+            !values.next(i, rec.value))
+            malformed();
         rec.seq = first + i;
         rec.destValue = 0;
         rec.taken = unpackBit(takenBits, i);
@@ -818,6 +834,8 @@ TraceFileReader::decodeBlock(std::uint64_t b, std::uint8_t *data,
             rec.nextPc = rec.pc + isa::layout::InstBytes;
         }
     }
+    if (!pcs.done() || !addrs.done() || !values.done())
+        malformed();
 }
 
 bool
@@ -830,7 +848,7 @@ TraceFileReader::next(TraceRecord &rec)
         return false;
     }
     if (decPos_ == decoded_.size())
-        loadBlockFor(seq_);
+        loadBlock(seq_ / blockRecords_);
     rec = decoded_[decPos_++];
     ++seq_;
     return true;
@@ -848,7 +866,7 @@ TraceFileReader::replay(TraceSink &sink)
     std::uint64_t n = 0;
     while (seq_ < records_) {
         if (decPos_ == decoded_.size())
-            loadBlockFor(seq_);
+            loadBlock(seq_ / blockRecords_);
         std::size_t k = static_cast<std::size_t>(
             std::min<std::uint64_t>(decoded_.size() - decPos_,
                                     records_ - seq_));

@@ -8,7 +8,7 @@
  * microarchitectural simulator"); phase 3 replays the trace merged
  * with the annotations into a timing model.
  *
- * On-disk layout, format version 3 (little-endian throughout):
+ * On-disk layout, format version 4 (little-endian throughout):
  *
  *   header (24 bytes)
  *     [ 0.. 8)  magic "LVPTRACE"
@@ -19,7 +19,7 @@
  *   blocks, each
  *     block header (24 bytes)
  *       u32 record count n | u32 pcBytes | u32 addrBytes
- *       | u32 valueBytes | u64 FNV-1a checksum of the column payload
+ *       | u32 valueBytes | u64 blockChecksum() of the column payload
  *     column payload
  *       pc column:    n delta+zigzag+varint values (trace/columnar.hh)
  *       addr column:  sparse (presence bitmap + nonzero deltas)
@@ -31,8 +31,17 @@
  *   footer (24 bytes)
  *     [ 0.. 8)  magic "ECARTPVL"
  *     [ 8..16)  u64 record count N
- *     [16..24)  u64 FNV-1a checksum over all block bytes (headers +
- *               column payloads; the index is validated structurally)
+ *     [16..24)  u64 blockChecksum() chained over the block headers in
+ *               order (each carries its payload's checksum, so the
+ *               chain covers every payload byte; the index is
+ *               validated structurally)
+ *
+ * Version 4 has version 3's layout and sizes; only the checksums
+ * changed. v3 hashed every block byte twice with byte-serial FNV-1a
+ * (once per block, once more for the footer); v4's four-lane
+ * word-at-a-time hash (trace/columnar.hh) catches any change confined
+ * to one 8-byte word, as FNV-1a catches any one-byte change, and the
+ * footer re-hashes 24 header bytes per block instead of the payload.
  *
  * The columns exploit the paper's value locality on our own
  * storage: pc deltas are one instruction stride for straight-line
@@ -84,7 +93,7 @@ namespace lvplib::trace
 {
 
 /** The one format written and read; any other version is BadVersion. */
-constexpr std::uint32_t TraceFormatVersion = 3;
+constexpr std::uint32_t TraceFormatVersion = 4;
 
 /** Raw bytes per record (u64 pc|effAddr|value + u8 taken|pred): the
  *  uncompressed baseline against which compression ratios are
@@ -100,7 +109,7 @@ constexpr std::size_t TraceBlockHeaderBytes = 4 * 4 + 8;
 
 /** Default records per block (the writer's blockRecords). Sized
  *  so one decoded block (~sizeof(TraceRecord) * blockRecords, about
- *  half a MiB) stays L2-resident: the reader's column scatter and the
+ *  half a MiB) stays L2-resident: the reader's decode pass and the
  *  sink's consume pass walk the same block buffer, and a buffer
  *  bigger than the cache turns every pass into memory traffic (a
  *  64Ki-record block measured ~10% slower suite-wide). Tests shrink
@@ -235,7 +244,7 @@ class TraceFileWriter : public TraceSink
     std::string path_;
     std::uint64_t fingerprint_;
     std::uint32_t blockRecords_;
-    std::uint64_t checksum_;
+    std::uint64_t checksum_ = 0; ///< footer chain of block headers
     std::uint64_t written_ = 0;
     bool finished_ = false;
     bool closed_ = false;
@@ -303,7 +312,9 @@ class TraceFileReader
     [[noreturn]] void corrupt(const std::string &what) const;
 
     std::uint64_t blockBytes(std::uint64_t b) const;
-    void loadBlockFor(std::uint64_t seq);
+    /** Read, verify and decode block @p b; the replay resumes at
+     *  its first record (every reader is sequential). */
+    void loadBlock(std::uint64_t b);
     void decodeBlock(std::uint64_t b, std::uint8_t *data,
                      std::size_t len);
 
@@ -314,7 +325,7 @@ class TraceFileReader
     std::uint64_t records_ = 0;
     std::uint64_t fingerprint_ = 0;
     std::uint64_t expectChecksum_ = 0;
-    std::uint64_t checksum_;
+    std::uint64_t checksum_ = 0; ///< footer chain of block headers
     std::uint32_t blockRecords_ = 0;
     std::uint64_t indexStart_ = 0;      ///< file offset of the index
     std::vector<std::uint64_t> index_;  ///< block file offsets

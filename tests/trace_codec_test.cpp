@@ -1,15 +1,18 @@
 /**
  * @file
- * Tests for the v3 columnar trace machinery: the shared column codecs
+ * Tests for the columnar trace machinery: the shared column codecs
  * (trace/columnar.hh) under round-trip fuzz and adversarial inputs,
- * and block-structured v3 files with tiny blocks.
+ * the word-wise block checksum, and block-structured v4 files with
+ * tiny blocks, corrupted bit by bit.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
@@ -172,8 +175,8 @@ TEST(DeltaColumn, RoundTripFuzzWithStride)
             decodeDeltaColumn(enc.data(), enc.size(), out.data(), n));
         EXPECT_EQ(out, vals) << "n=" << n;
 
-        // Stride 4: scatter into every fourth u64 slot, the
-        // decode-into-struct replay path.
+        // Stride 4: every fourth u64 slot, one field of an array of
+        // structs.
         constexpr std::size_t Stride = 4;
         std::vector<std::uint64_t> strided(n * Stride, 0xaa);
         ASSERT_TRUE(decodeDeltaColumn(enc.data(), enc.size(),
@@ -278,7 +281,57 @@ TEST(PackedFlags, BitsAndCrumbsRoundTrip)
     }
 }
 
-// ---- v3 files with tiny blocks ------------------------------------
+// ---- block checksum ------------------------------------------------
+
+TEST(BlockChecksum, EveryChangeWithinOneWordIsCaught)
+{
+    std::mt19937_64 rng(17);
+    for (std::size_t n : {1u, 7u, 8u, 9u, 31u, 32u, 33u, 100u, 257u}) {
+        std::vector<std::uint8_t> buf(n);
+        for (auto &b : buf)
+            b = static_cast<std::uint8_t>(rng());
+        const std::uint64_t h = trace::blockChecksum(buf.data(), n);
+        EXPECT_EQ(trace::blockChecksum(buf.data(), n), h);
+        EXPECT_NE(trace::blockChecksum(buf.data(), n, 1), h)
+            << "the seed is mixed in";
+        // Every single-bit flip.
+        for (std::size_t bit = 0; bit < n * 8; ++bit) {
+            buf[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+            EXPECT_NE(trace::blockChecksum(buf.data(), n), h)
+                << "n " << n << " bit " << bit;
+            buf[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        }
+        // Random rewrites of whole 8-byte words (the tail word only
+        // over its bytes): a bijective lane step cannot map two
+        // different words to one lane value.
+        for (std::size_t w = 0; w < n; w += 8) {
+            std::size_t len = std::min<std::size_t>(8, n - w);
+            std::vector<std::uint8_t> saved(buf.begin() + w,
+                                            buf.begin() + w + len);
+            for (int k = 0; k < 64; ++k) {
+                std::vector<std::uint8_t> next(len);
+                for (auto &b : next)
+                    b = static_cast<std::uint8_t>(rng());
+                if (next == saved)
+                    continue;
+                std::copy(next.begin(), next.end(), buf.begin() + w);
+                EXPECT_NE(trace::blockChecksum(buf.data(), n), h)
+                    << "n " << n << " word " << w / 8;
+            }
+            std::copy(saved.begin(), saved.end(), buf.begin() + w);
+        }
+        ASSERT_EQ(trace::blockChecksum(buf.data(), n), h);
+    }
+    // Length is part of the hash: zero bytes that extend the tail
+    // word are not padding.
+    std::vector<std::uint8_t> zeros(16, 0);
+    EXPECT_NE(trace::blockChecksum(zeros.data(), 9),
+              trace::blockChecksum(zeros.data(), 12));
+    EXPECT_NE(trace::blockChecksum(zeros.data(), 8),
+              trace::blockChecksum(zeros.data(), 9));
+}
+
+// ---- v4 files with tiny blocks ------------------------------------
 
 /** Interpret demoProgram() into @p path in 64-record blocks, so a
  *  small trace still spans many blocks; returns records written. */
@@ -351,6 +404,156 @@ TEST(TraceV3, FlippedCompressedByteDetected)
             r.replay(sink);
         },
         ErrorKind::TraceCorrupt, "at block");
+}
+
+/** Byte range [begin, end) of one block of an on-disk trace. */
+struct BlockSpan
+{
+    std::size_t begin, end;
+};
+
+/** Every block's byte range, read back from the file's index. */
+std::vector<BlockSpan>
+blockSpans(const std::vector<std::uint8_t> &bytes,
+           std::uint32_t blockRecords)
+{
+    auto u64 = [&bytes](std::size_t at) {
+        std::uint64_t v = 0;
+        for (unsigned i = 0; i < 8; ++i)
+            v |= static_cast<std::uint64_t>(bytes[at + i]) << (8 * i);
+        return v;
+    };
+    std::size_t footer = bytes.size() - trace::TraceFooterBytes;
+    std::uint64_t records = u64(footer + 8);
+    std::size_t blocks = (records + blockRecords - 1) / blockRecords;
+    std::size_t index = footer - blocks * 8;
+    std::vector<BlockSpan> spans;
+    for (std::size_t b = 0; b < blocks; ++b)
+        spans.push_back({static_cast<std::size_t>(u64(index + b * 8)),
+                         b + 1 < blocks
+                             ? static_cast<std::size_t>(
+                                   u64(index + (b + 1) * 8))
+                             : index});
+    return spans;
+}
+
+std::vector<std::uint8_t>
+readBytes(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(f), {}};
+}
+
+void
+writeBytes(const std::string &path, const std::vector<std::uint8_t> &b)
+{
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(reinterpret_cast<const char *>(b.data()),
+            static_cast<std::streamsize>(b.size()));
+}
+
+/** Replay @p path fully; the SimError message, or "" when clean. */
+std::string
+replayError(const std::string &path, const isa::Program &prog)
+{
+    try {
+        TraceFileReader r(path, prog);
+        trace::TraceStats sink;
+        r.replay(sink);
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::TraceCorrupt) << e.what();
+        return e.what();
+    }
+    return "";
+}
+
+TEST(TraceChecksum, EveryPayloadBitFlipIsCaughtAtItsBlock)
+{
+    TempPath tmp("lvplib_v4_bitflip.trace");
+    auto prog = demoProgram();
+    writeTinyBlockTrace(tmp.path, prog, 7);
+    const auto clean = readBytes(tmp.path);
+    const auto spans = blockSpans(clean, 64);
+    ASSERT_GT(spans.size(), 8u);
+    // A block from the middle of a real trace.
+    const std::size_t b = spans.size() / 2;
+    const std::string at = "block " + std::to_string(b);
+    const std::size_t first = spans[b].begin + trace::TraceBlockHeaderBytes;
+    ASSERT_LT(first, spans[b].end);
+    for (std::size_t byte = first; byte < spans[b].end; ++byte) {
+        for (unsigned bit = 0; bit < 8; ++bit) {
+            auto bytes = clean;
+            bytes[byte] ^= static_cast<std::uint8_t>(1u << bit);
+            writeBytes(tmp.path, bytes);
+            SCOPED_TRACE(::testing::Message()
+                         << "payload byte " << byte - first << " bit "
+                         << bit);
+            auto rep = trace::verifyTraceFile(tmp.path);
+            ASSERT_EQ(rep.status, TraceFileStatus::ChecksumMismatch)
+                << rep.detail;
+            ASSERT_NE(rep.detail.find(at + " "), std::string::npos)
+                << rep.detail;
+            std::string err = replayError(tmp.path, prog);
+            ASSERT_NE(err.find("checksum-mismatch at " + at),
+                      std::string::npos)
+                << err;
+        }
+    }
+}
+
+TEST(TraceChecksum, FlippedBlockHeaderByteIsCaught)
+{
+    TempPath tmp("lvplib_v4_hdrflip.trace");
+    auto prog = demoProgram();
+    writeTinyBlockTrace(tmp.path, prog, 7);
+    const auto clean = readBytes(tmp.path);
+    const auto spans = blockSpans(clean, 64);
+    const std::size_t b = spans.size() / 2;
+    // Count, column sizes and checksum: each byte, low and high bit.
+    for (std::size_t i = 0; i < trace::TraceBlockHeaderBytes; ++i) {
+        for (std::uint8_t mask : {0x01, 0x80}) {
+            auto bytes = clean;
+            bytes[spans[b].begin + i] ^= mask;
+            writeBytes(tmp.path, bytes);
+            SCOPED_TRACE(::testing::Message()
+                         << "header byte " << i << " mask "
+                         << int(mask));
+            auto rep = trace::verifyTraceFile(tmp.path);
+            EXPECT_TRUE(rep.status == TraceFileStatus::BadBlock ||
+                        rep.status == TraceFileStatus::ChecksumMismatch)
+                << trace::traceFileStatusName(rep.status);
+            EXPECT_NE(replayError(tmp.path, prog).find(
+                          "at block " + std::to_string(b)),
+                      std::string::npos);
+        }
+    }
+}
+
+TEST(TraceChecksum, FooterChainCatchesARewrittenBlockHeader)
+{
+    // Corrupt one payload bit and re-stamp the block's own checksum to
+    // match: the block verifies on its own, so only the footer's chain
+    // of block headers can catch it. The bit is in the packed pred
+    // column (the block's last byte), so the block still decodes.
+    TempPath tmp("lvplib_v4_chain.trace");
+    auto prog = demoProgram();
+    writeTinyBlockTrace(tmp.path, prog, 7);
+    auto bytes = readBytes(tmp.path);
+    const auto spans = blockSpans(bytes, 64);
+    const BlockSpan blk = spans[spans.size() / 2];
+    const std::size_t payload = blk.begin + trace::TraceBlockHeaderBytes;
+    bytes[blk.end - 1] ^= 0x01;
+    std::uint64_t sum = trace::blockChecksum(bytes.data() + payload,
+                                             blk.end - payload);
+    for (unsigned i = 0; i < 8; ++i)
+        bytes[blk.begin + 16 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+    writeBytes(tmp.path, bytes);
+
+    auto rep = trace::verifyTraceFile(tmp.path);
+    EXPECT_EQ(rep.status, TraceFileStatus::ChecksumMismatch);
+    EXPECT_NE(rep.detail.find("footer"), std::string::npos) << rep.detail;
+    EXPECT_NE(replayError(tmp.path, prog).find("checksum-mismatch"),
+              std::string::npos);
 }
 
 TEST(TraceV3, TruncationDetected)

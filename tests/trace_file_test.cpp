@@ -315,9 +315,11 @@ TEST(TraceIntegrity, FlippedPayloadByteDetected)
 TEST(TraceIntegrity, WrongVersionDetected)
 {
     auto prog = demoProgram();
-    // A future version, and the retired row-major version 2: neither
-    // is readable, and neither is mistaken for a damaged current file.
-    for (std::uint32_t version : {trace::TraceFormatVersion + 1, 2u}) {
+    // A future version, the retired FNV-1a-checksummed version 3 and
+    // the retired row-major version 2: none is readable, and none is
+    // mistaken for a damaged current file.
+    for (std::uint32_t version :
+         {trace::TraceFormatVersion + 1, 3u, 2u}) {
         TempPath tmp("lvplib_trace_ver.trace");
         writeDemoTrace(tmp.path, prog, 7);
 
